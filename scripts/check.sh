@@ -65,13 +65,15 @@ done
 unset ONFIBER_SIMD
 
 # Thread-sanitizer pass over the worker-pool surface: the persistent
-# pool, batched GEMM/engine paths, and the two-pass kernels run under
-# -fsanitize=thread to catch data races the deterministic fold could
-# mask. Scoped to the concurrency-relevant suites to keep it fast.
+# pool, the GEMM kernel's cell-parallel bodies (signed and on-fiber,
+# swept across thread counts by SimdDispatch), the engine paths, and the
+# two-pass kernels run under -fsanitize=thread to catch data races the
+# deterministic fold could mask. Scoped to the concurrency-relevant
+# suites to keep it fast.
 cmake --preset tsan
 cmake --build --preset tsan -j"$(nproc)"
 ctest --preset tsan --no-tests=error \
-  -R 'PoolDeterminism|TwoPassKernels|BatchedEngine|Batching|Parallel'
+  -R 'PoolDeterminism|TwoPassKernels|BatchedEngine|Batching|Parallel|SimdDispatch'
 
 # Sharded-engine tsan gate: the determinism and reliability suites
 # re-run with an extra ONFIBER_SHARDS=4 sweep entry, and the fabric

@@ -1,10 +1,12 @@
 #include "apps/ml_inference.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "core/compute_packets.hpp"
 #include "digital/device_model.hpp"
+#include "network/spf.hpp"
 
 namespace onfiber::apps {
 
@@ -109,13 +111,14 @@ deployment_latency compare_deployments(const net::topology& topo,
                                        const digital::dnn_model& model,
                                        double photonic_compute_s) {
   deployment_latency out;
+  net::spf_engine spf(topo);
   const auto delay = [&](net::node_id a, net::node_id b) {
     if (a == b) return 0.0;
-    const auto path = topo.shortest_path(a, b);
-    if (path.empty()) {
+    const double d = spf.dist(a, b);
+    if (std::isinf(d)) {
       throw std::invalid_argument("compare_deployments: unreachable pair");
     }
-    return topo.path_delay_s(path);
+    return d;
   };
 
   const std::uint64_t macs = model.mac_count();

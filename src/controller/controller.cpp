@@ -481,31 +481,6 @@ std::vector<reconfig_op> plan_reconfiguration(const allocation_problem& p,
 }
 
 std::optional<failover_plan> plan_failover_site(
-    const net::topology& topo, std::span<const net::node_id> capable_sites,
-    net::node_id exclude_site, net::node_id src, net::node_id dst,
-    const std::vector<bool>* links_up) {
-  std::optional<failover_plan> best;
-  for (const net::node_id site : capable_sites) {
-    if (site == exclude_site) continue;
-    double via = 0.0;
-    if (site != src) {
-      const auto leg = topo.shortest_path(src, site, links_up);
-      if (leg.empty()) continue;
-      via += topo.path_delay_s(leg);
-    }
-    if (site != dst) {
-      const auto leg = topo.shortest_path(site, dst, links_up);
-      if (leg.empty()) continue;
-      via += topo.path_delay_s(leg);
-    }
-    if (!best || via < best->via_delay_s) {
-      best = failover_plan{site, via};
-    }
-  }
-  return best;
-}
-
-std::optional<failover_plan> plan_failover_site(
     net::spf_engine& spf, std::span<const net::node_id> capable_sites,
     net::node_id exclude_site, net::node_id src, net::node_id dst) {
   std::optional<failover_plan> best;

@@ -35,17 +35,6 @@ obs::histogram& batch_wall_hist() {
   return std::span<std::uint8_t>(pkt.payload).subspan(begin, out_len);
 }
 
-/// Split a signed vector into non-negative rails.
-void split_rails(std::span<const double> x, std::vector<double>& pos,
-                 std::vector<double>& neg) {
-  pos.resize(x.size());
-  neg.resize(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    pos[i] = x[i] > 0.0 ? x[i] : 0.0;
-    neg[i] = x[i] < 0.0 ? -x[i] : 0.0;
-  }
-}
-
 }  // namespace
 
 photonic_engine::photonic_engine(engine_config config, std::uint64_t seed,
@@ -56,7 +45,7 @@ photonic_engine::photonic_engine(engine_config config, std::uint64_t seed,
       matcher_(config.match, seed ^ 0xbeef, ledger, costs),
       upstream_phase_encoder_(config.match, seed ^ 0xcafe, nullptr, costs),
       nonlinear_(config.nonlinear, seed ^ 0xd00d, ledger, costs),
-      row_seed_stream_(seed ^ 0x726f7773ULL /* "rows" */),
+      gemm_(config.dot, seed, ledger, costs),
       ledger_(ledger),
       costs_(costs) {}
 
@@ -128,187 +117,177 @@ std::vector<proto::primitive_id> photonic_engine::configured() const {
   return out;
 }
 
-phot::gemv_result photonic_engine::analog_gemv(const phot::matrix& w,
-                                               std::span<const double> x,
-                                               bool input_is_optical,
-                                               engine_report& report) {
-  phot::gemm_result g = analog_gemm(w, x, input_is_optical, report);
-  phot::gemv_result out;
-  out.values = std::move(g.values);
-  out.latency_s = g.latency_s;
-  out.symbols = g.symbols;
-  return out;
-}
-
 phot::gemm_result photonic_engine::analog_gemm(const phot::matrix& w,
                                                std::span<const double> xs,
-                                               bool input_is_optical,
                                                engine_report& report) {
-  const std::size_t rows = w.rows;
   const std::size_t cols = w.cols;
   const std::size_t batch = xs.size() / cols;  // callers validate the shape
+  phot::gemm_result out;
 
-  // Determinism contract (photonics/kernels.hpp): every row's noise
-  // stream is forked here, in row order, before any worker starts. One
-  // fork per row regardless of batch size, so a batch of one consumes the
-  // seed stream exactly like the historical per-vector path.
-  std::vector<std::uint64_t> seeds(rows);
-  for (std::uint64_t& s : seeds) s = row_seed_stream_();
-
-  std::vector<phot::dot_result> cells(rows * batch);
-  std::vector<phot::energy_ledger> row_ledgers(ledger_ != nullptr ? rows : 0);
-  const std::size_t threads = phot::kernel_thread_count(threads_override_);
-
-  if (input_is_optical) {
+  if (config_.mode == compute_mode::on_fiber) {
     // On-fiber path: each sample's rails exist as optical waveforms
     // (encoded upstream; reconstruction here is ledger-free), produced in
-    // sample order on the continuing upstream-encoder streams. Each row
-    // consumes optical copies of the rails — wavelength/splitter fan-out
-    // in hardware.
+    // sample order on the continuing upstream-encoder streams.
     std::vector<phot::waveform> wave_p(batch);
     std::vector<phot::waveform> wave_n(batch);
     std::vector<double> xp, xn;
     for (std::size_t s = 0; s < batch; ++s) {
-      split_rails(xs.subspan(s * cols, cols), xp, xn);
+      phot::split_rails(xs.subspan(s * cols, cols), xp, xn);
       wave_p[s] = upstream_encoder_.encode_to_optical(xp);
       wave_n[s] = upstream_encoder_.encode_to_optical(xn);
     }
     const double ref_mw =
         config_.dot.laser.power_mw *
         phot::db_to_ratio(-config_.dot.modulator.insertion_loss_db);
-
-    phot::parallel_rows(rows, threads, [&](std::size_t r) {
-      phot::dot_product_unit unit(
-          config_.dot, seeds[r],
-          ledger_ != nullptr ? &row_ledgers[r] : nullptr, costs_);
-      std::vector<double> wp, wn;
-      split_rails(w.row(r), wp, wn);
-      for (std::size_t s = 0; s < batch; ++s) {
-        const auto pp = unit.dot_with_optical_input(wave_p[s], wp, ref_mw);
-        const auto nn = unit.dot_with_optical_input(wave_n[s], wn, ref_mw);
-        const auto pn = unit.dot_with_optical_input(wave_p[s], wn, ref_mw);
-        const auto np = unit.dot_with_optical_input(wave_n[s], wp, ref_mw);
-        phot::dot_result d;
-        d.value = pp.value + nn.value - pn.value - np.value;
-        d.latency_s =
-            pp.latency_s + nn.latency_s + pn.latency_s + np.latency_s;
-        d.symbols = pp.symbols + nn.symbols + pn.symbols + np.symbols;
-        cells[r * batch + s] = d;
-      }
-    });
+    out = gemm_.gemm_optical(w, wave_p, wave_n, ref_mw);
   } else {
     // OEO path: every sample was digitized by the receive ADC (cols
     // conversions each) and is re-encoded through the a-side DAC inside
-    // every pass.
+    // every pass: four per row per sample.
     report.input_conversions += xs.size();
     if (ledger_ != nullptr) {
       ledger_->charge("adc", costs_.adc_conversion_j *
                                  static_cast<double>(xs.size()),
                       xs.size());
     }
-    // Split every sample's rails once up front; rows share them read-only.
-    std::vector<double> xs_pos(xs.size());
-    std::vector<double> xs_neg(xs.size());
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      xs_pos[i] = xs[i] > 0.0 ? xs[i] : 0.0;
-      xs_neg[i] = xs[i] < 0.0 ? -xs[i] : 0.0;
-    }
-    phot::parallel_rows(rows, threads, [&](std::size_t r) {
-      phot::dot_product_unit unit(
-          config_.dot, seeds[r],
-          ledger_ != nullptr ? &row_ledgers[r] : nullptr, costs_);
-      // The row's weight rails are split once; every queued sample then
-      // streams through them (dot_signed == split + dot_signed_rails, so
-      // batch one is bit-identical to the unbatched call).
-      std::vector<double> wp, wn;
-      split_rails(w.row(r), wp, wn);
-      for (std::size_t s = 0; s < batch; ++s) {
-        const std::span<const double> xp(xs_pos.data() + s * cols, cols);
-        const std::span<const double> xn(xs_neg.data() + s * cols, cols);
-        cells[r * batch + s] = unit.dot_signed_rails(wp, wn, xp, xn);
-      }
-    });
-    // DACs inside the rail passes: four per row per sample.
-    report.input_conversions += 4 * cols * rows * batch;
-  }
-
-  phot::gemm_result out;
-  out.batch = batch;
-  out.values.assign(batch * rows, 0.0);
-  // Fixed rows-outer / samples-inner fold: thread-invariant float sums,
-  // and a batch of one folds exactly like the per-vector path did.
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t s = 0; s < batch; ++s) {
-      const phot::dot_result& d = cells[r * batch + s];
-      out.values[s * rows + r] = d.value;
-      out.latency_s += d.latency_s;
-      out.symbols += d.symbols;
-    }
-  }
-  if (ledger_ != nullptr) {
-    // Merge in row order so energy totals are thread-invariant.
-    for (const phot::energy_ledger& l : row_ledgers) ledger_->merge(l);
+    out = gemm_.gemm_signed(w, xs);
+    report.input_conversions += 4 * cols * w.rows * batch;
   }
   report.optical_symbols += out.symbols;
   report.compute_latency_s += out.latency_s;
   return out;
 }
 
-engine_report photonic_engine::run_gemv(const proto::compute_header& h,
-                                        net::packet& pkt) {
-  engine_report report;
-  if (!gemv_) return report;
-  const auto input = proto::compute_input(pkt, h);
-  const std::size_t batch = h.batch;
-  const std::size_t cols = gemv_->weights.cols;
-  const std::size_t rows = gemv_->weights.rows;
-  if (batch == 0 || input.size() != cols * batch) return report;
-  auto result_region = result_span(pkt, h, rows * batch);
-  if (result_region.empty()) return report;
-
-  // Chain codec convention: intermediate stage values travel in the unit
-  // [0,1] encoding; only first-stage inputs / final results use the
-  // signed encoding the client chose.
-  const bool chained_input = h.hops > 0;
-  const bool optical = config_.mode == compute_mode::on_fiber;
-  const bool chained_output = h.has_more_stages();
-  const double scale = std::max<double>(1.0, static_cast<double>(cols));
-
-  // Decode every sample up front and run one batched GEMM: the per-row
-  // weight rails are split once for the whole packet and all samples
-  // stream through them.
-  std::vector<double> xs(batch * cols);
-  for (std::size_t b = 0; b < batch; ++b) {
-    const auto sample = input.subspan(b * cols, cols);
-    const std::vector<double> x =
-        chained_input ? proto::decode_unit_vector(sample)
-                      : proto::decode_signed_vector(sample);
-    std::copy(x.begin(), x.end(), xs.begin() + b * cols);
-  }
-  const phot::gemm_result y = analog_gemm(gemv_->weights, xs, optical, report);
-  for (std::size_t b = 0; b < batch; ++b) {
-    for (std::size_t r = 0; r < rows; ++r) {
-      double v = y.values[b * rows + r];
-      if (!gemv_->bias.empty()) v += gemv_->bias[r];
-      if (gemv_->relu_output && v < 0.0) v = 0.0;
-      result_region[b * rows + r] = chained_output
-                                        ? proto::encode_unit_u8(v / scale)
-                                        : proto::encode_signed_u8(v / scale);
+std::vector<double> photonic_engine::pool_samples(
+    std::span<const pooled_pkt> group, std::size_t cols,
+    bool signed_first_stage) {
+  std::vector<double> xs;
+  for (const pooled_pkt& e : group) {
+    const auto input = proto::compute_input(*e.pkt, e.h);
+    const bool signed_input = signed_first_stage && e.h.hops == 0;
+    for (std::size_t b = 0; b < e.h.batch; ++b) {
+      const auto sample = input.subspan(b * cols, cols);
+      const std::vector<double> x = signed_input
+                                        ? proto::decode_signed_vector(sample)
+                                        : proto::decode_unit_vector(sample);
+      xs.insert(xs.end(), x.begin(), x.end());
     }
   }
+  return xs;
+}
+
+engine_report photonic_engine::pooled_gemv(std::span<pooled_pkt> group) {
+  const phot::matrix& w = gemv_->weights;
+  const std::size_t rows = w.rows;
+  const double scale = std::max<double>(1.0, static_cast<double>(w.cols));
+  engine_report report;
+  // Chain codec convention: first-stage inputs and final results use the
+  // signed encoding the client chose; intermediate stage values travel
+  // in the unit [0,1] encoding.
+  const phot::gemm_result y =
+      analog_gemm(w, pool_samples(group, w.cols, /*signed_first_stage=*/true),
+                  report);
+
+  std::size_t s = 0;  // pooled sample index
+  for (pooled_pkt& e : group) {
+    const std::size_t len = rows * e.h.batch;
+    const auto result_region = result_span(*e.pkt, e.h, len);
+    const bool chained_output = e.h.has_more_stages();
+    for (std::size_t b = 0; b < e.h.batch; ++b, ++s) {
+      for (std::size_t r = 0; r < rows; ++r) {
+        double v = y.values[s * rows + r];
+        if (!gemv_->bias.empty()) v += gemv_->bias[r];
+        if (gemv_->relu_output && v < 0.0) v = 0.0;
+        result_region[b * rows + r] = chained_output
+                                          ? proto::encode_unit_u8(v / scale)
+                                          : proto::encode_signed_u8(v / scale);
+      }
+    }
+    apply_postlude(*e.pkt, e.h, static_cast<std::uint16_t>(len));
+    report.result_bytes =
+        static_cast<std::uint16_t>(report.result_bytes + len);
+  }
   report.computed = true;
-  report.result_bytes = static_cast<std::uint16_t>(rows * batch);
   return report;
 }
 
-engine_report photonic_engine::run_match(const proto::compute_header& h,
+engine_report photonic_engine::pooled_dnn(std::span<pooled_pkt> group) {
+  const std::size_t in_dim = dnn_->layers.front().weights.cols;
+  const std::size_t out_dim = dnn_->layers.back().weights.rows;
+  const double full_scale_mw = config_.dot.laser.power_mw;
+  engine_report report;
+  // DNN inputs are always unit-encoded.
+  std::vector<double> acts =
+      pool_samples(group, in_dim, /*signed_first_stage=*/false);
+  const std::size_t total = acts.size() / in_dim;
+
+  // Layer-major: each layer is one GEMM over every pooled sample. Inside
+  // the engine the analog signal never leaves the chip in on-fiber mode
+  // (single-chip photonic DNN [9]); in OEO mode every layer pays the
+  // conversion boundary.
+  for (const photonic_layer& layer : dnn_->layers) {
+    const phot::gemm_result z = analog_gemm(layer.weights, acts, report);
+    const std::size_t dim = layer.weights.rows;
+    acts.assign(total * dim, 0.0);
+    for (std::size_t s = 0; s < total; ++s) {
+      for (std::size_t i = 0; i < dim; ++i) {
+        double v = z.values[s * dim + i];
+        if (!layer.bias.empty()) v += layer.bias[i];
+        if (layer.activation) {
+          // Map pre-activations onto the P3 unit's optical dynamic range
+          // with the layer's fixed calibration scale (the one the model
+          // trained with), then run each through the electro-optic
+          // nonlinearity. Negative pre-activations carry no optical
+          // power.
+          const double u = std::clamp(v / layer.activation_scale, 0.0, 1.0);
+          acts[s * dim + i] = nonlinear_.activate(u, full_scale_mw);
+        } else {
+          acts[s * dim + i] = v;
+        }
+      }
+      if (layer.activation) {
+        report.compute_latency_s +=
+            static_cast<double>(dim) / config_.nonlinear.symbol_rate_hz;
+        report.optical_symbols += dim;
+      }
+    }
+  }
+
+  // Per-sample result: argmax class byte + logits normalized by
+  // max |logit|.
+  std::size_t s = 0;  // pooled sample index
+  for (pooled_pkt& e : group) {
+    const std::size_t len = (1 + out_dim) * e.h.batch;
+    const auto result_region = result_span(*e.pkt, e.h, len);
+    for (std::size_t b = 0; b < e.h.batch; ++b, ++s) {
+      const double* act = acts.data() + s * out_dim;
+      double amax = 1e-9;
+      for (std::size_t i = 0; i < out_dim; ++i) {
+        amax = std::max(amax, std::abs(act[i]));
+      }
+      std::size_t best = 0;
+      for (std::size_t i = 1; i < out_dim; ++i) {
+        if (act[i] > act[best]) best = i;
+      }
+      const std::size_t base = b * (1 + out_dim);
+      result_region[base] = static_cast<std::uint8_t>(best);
+      for (std::size_t i = 0; i < out_dim; ++i) {
+        result_region[base + 1 + i] = proto::encode_signed_u8(act[i] / amax);
+      }
+    }
+    apply_postlude(*e.pkt, e.h, static_cast<std::uint16_t>(len));
+    report.result_bytes =
+        static_cast<std::uint16_t>(report.result_bytes + len);
+  }
+  report.computed = true;
+  return report;
+}
+
+engine_report photonic_engine::run_match(proto::compute_header h,
                                          net::packet& pkt) {
   engine_report report;
-  if (!match_) return report;
   const auto input = proto::compute_input(pkt, h);
-  if (input.empty()) return report;
-  auto result_region = result_span(pkt, h, 1);
-  if (result_region.empty()) return report;
+  const auto result_region = result_span(pkt, h, 1);
 
   const std::vector<std::uint8_t> bits = phot::bytes_to_bits(input);
   const bool optical = config_.mode == compute_mode::on_fiber;
@@ -355,16 +334,15 @@ engine_report photonic_engine::run_match(const proto::compute_header& h,
   report.match_index = hit;
   report.computed = true;
   report.result_bytes = 1;
+  apply_postlude(pkt, h, report.result_bytes);
   return report;
 }
 
-engine_report photonic_engine::run_nonlinear(const proto::compute_header& h,
+engine_report photonic_engine::run_nonlinear(proto::compute_header h,
                                              net::packet& pkt) {
   engine_report report;
   const auto input = proto::compute_input(pkt, h);
-  if (input.empty()) return report;
-  auto result_region = result_span(pkt, h, input.size());
-  if (result_region.empty()) return report;
+  const auto result_region = result_span(pkt, h, input.size());
 
   const std::vector<double> x = proto::decode_unit_vector(input);
   const double full_scale_mw = config_.dot.laser.power_mw;
@@ -400,124 +378,50 @@ engine_report photonic_engine::run_nonlinear(const proto::compute_header& h,
       config_.dot.fixed_latency_s;
   report.computed = true;
   report.result_bytes = static_cast<std::uint16_t>(x.size());
-  return report;
-}
-
-engine_report photonic_engine::run_dnn(const proto::compute_header& h,
-                                       net::packet& pkt) {
-  engine_report report;
-  if (!dnn_) return report;
-  const auto input = proto::compute_input(pkt, h);
-  const std::size_t in_dim = dnn_->layers.front().weights.cols;
-  const std::size_t out_dim = dnn_->layers.back().weights.rows;
-  const std::size_t batch = h.batch;
-  if (batch == 0 || input.size() != in_dim * batch) return report;
-  auto result_region = result_span(pkt, h, (1 + out_dim) * batch);
-  if (result_region.empty()) return report;
-
-  const bool optical = config_.mode == compute_mode::on_fiber;
-  const double full_scale_mw = config_.dot.laser.power_mw;
-
-  for (std::size_t b = 0; b < batch; ++b) {
-    std::vector<double> act =
-        proto::decode_unit_vector(input.subspan(b * in_dim, in_dim));
-
-    for (std::size_t li = 0; li < dnn_->layers.size(); ++li) {
-      const photonic_layer& layer = dnn_->layers[li];
-      // Inside the engine the analog signal never leaves the chip in
-      // on-fiber mode (single-chip photonic DNN [9]); in OEO mode every
-      // layer pays the conversion boundary.
-      phot::gemv_result z = analog_gemv(layer.weights, act, optical, report);
-      for (std::size_t i = 0; i < z.values.size(); ++i) {
-        if (!layer.bias.empty()) z.values[i] += layer.bias[i];
-      }
-      if (layer.activation) {
-        // Map pre-activations onto the P3 unit's optical dynamic range
-        // with the layer's fixed calibration scale (the one the model
-        // trained with), then run each through the electro-optic
-        // nonlinearity. Negative pre-activations carry no optical power.
-        act.assign(z.values.size(), 0.0);
-        for (std::size_t i = 0; i < z.values.size(); ++i) {
-          const double u = std::clamp(
-              z.values[i] / layer.activation_scale, 0.0, 1.0);
-          act[i] = nonlinear_.activate(u, full_scale_mw);
-        }
-        report.compute_latency_s += static_cast<double>(act.size()) /
-                                    config_.nonlinear.symbol_rate_hz;
-        report.optical_symbols += act.size();
-      } else {
-        act = std::move(z.values);
-      }
-    }
-
-    // Per-sample result: argmax class byte + logits normalized by
-    // max |logit|.
-    double amax = 1e-9;
-    for (double v : act) amax = std::max(amax, std::abs(v));
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < act.size(); ++i) {
-      if (act[i] > act[best]) best = i;
-    }
-    const std::size_t base = b * (1 + out_dim);
-    result_region[base] = static_cast<std::uint8_t>(best);
-    for (std::size_t i = 0; i < act.size() && i < out_dim; ++i) {
-      result_region[base + 1 + i] = proto::encode_signed_u8(act[i] / amax);
-    }
-  }
-  report.computed = true;
-  report.result_bytes = static_cast<std::uint16_t>((1 + out_dim) * batch);
+  apply_postlude(pkt, h, report.result_bytes);
   return report;
 }
 
 engine_report photonic_engine::process(net::packet& pkt) {
   const obs::scoped_timer timer(process_wall_hist());
-  engine_report report;
-  auto header = proto::peek_compute_header(pkt);
-  if (!header || header->has_result()) return report;
-  if (!supports(header->primitive)) return report;
-
-  switch (header->primitive) {
+  const auto h = checked_header(pkt);
+  if (!h) return {};
+  pooled_pkt one{&pkt, *h};
+  switch (h->primitive) {
     case proto::primitive_id::p1_dot_product:
-      report = run_gemv(*header, pkt);
-      break;
+      return pooled_gemv({&one, 1});
     case proto::primitive_id::p2_pattern_match:
-      report = run_match(*header, pkt);
-      break;
+      return run_match(*h, pkt);
     case proto::primitive_id::p3_nonlinear:
-      report = run_nonlinear(*header, pkt);
-      break;
+      return run_nonlinear(*h, pkt);
     case proto::primitive_id::p1_p3_dnn:
-      report = run_dnn(*header, pkt);
-      break;
+      return pooled_dnn({&one, 1});
     case proto::primitive_id::none:
-      return report;
+      break;
   }
-
-  if (report.computed) {
-    apply_postlude(pkt, *header, report);
-  }
-  return report;
+  return {};
 }
 
 void photonic_engine::apply_postlude(net::packet& pkt,
                                      proto::compute_header& h,
-                                     const engine_report& report) {
+                                     std::uint16_t result_bytes) {
   h.hops = static_cast<std::uint8_t>(h.hops + 1);
-  h.result_length = report.result_bytes;
+  h.result_length = result_bytes;
   if (h.has_more_stages()) {
     // Distributed chain (§5): hand off to the next stage — the result
     // becomes its input and the packet keeps routing by the new
     // primitive until a capable transponder is crossed.
-    h.advance_stage(report.result_bytes);
+    h.advance_stage(result_bytes);
   } else {
     h.flags |= proto::flag_has_result;
   }
   rewrite_compute_header(pkt, h);
 }
 
-bool photonic_engine::can_process(const net::packet& pkt) const {
-  const auto h = proto::peek_compute_header(pkt);
-  if (!h || h->has_result() || !supports(h->primitive)) return false;
+std::optional<proto::compute_header> photonic_engine::checked_header(
+    const net::packet& pkt) const {
+  auto h = proto::peek_compute_header(pkt);
+  if (!h || h->has_result() || !supports(h->primitive)) return std::nullopt;
   const auto input = proto::compute_input(pkt, *h);
   const std::size_t batch = h->batch;
 
@@ -527,22 +431,31 @@ bool photonic_engine::can_process(const net::packet& pkt) const {
     return len > 0 && begin + len <= pkt.payload.size();
   };
 
+  bool ok = false;
   switch (h->primitive) {
     case proto::primitive_id::p1_dot_product:
-      return batch > 0 && input.size() == gemv_->weights.cols * batch &&
-             result_fits(gemv_->weights.rows * batch);
+      ok = batch > 0 && input.size() == gemv_->weights.cols * batch &&
+           result_fits(gemv_->weights.rows * batch);
+      break;
     case proto::primitive_id::p2_pattern_match:
-      return !input.empty() && result_fits(1);
+      ok = !input.empty() && result_fits(1);
+      break;
     case proto::primitive_id::p3_nonlinear:
-      return !input.empty() && result_fits(input.size());
+      ok = !input.empty() && result_fits(input.size());
+      break;
     case proto::primitive_id::p1_p3_dnn:
-      return batch > 0 &&
-             input.size() == dnn_->layers.front().weights.cols * batch &&
-             result_fits((1 + dnn_->layers.back().weights.rows) * batch);
+      ok = batch > 0 &&
+           input.size() == dnn_->layers.front().weights.cols * batch &&
+           result_fits((1 + dnn_->layers.back().weights.rows) * batch);
+      break;
     case proto::primitive_id::none:
-      return false;
+      break;
   }
-  return false;
+  return ok ? h : std::nullopt;
+}
+
+bool photonic_engine::can_process(const net::packet& pkt) const {
+  return checked_header(pkt).has_value();
 }
 
 batch_report photonic_engine::process_batch(
@@ -558,153 +471,27 @@ batch_report photonic_engine::process_batch(
   };
 
   // Admission: pool P1 packets and DNN packets; everything else (and
-  // anything a validation check rejects) runs through process() singly.
-  struct pooled_pkt {
-    std::size_t idx = 0;              ///< position in `pkts`
-    proto::compute_header h{};
-    std::size_t first_sample = 0;     ///< offset into the pooled sample set
-    std::size_t samples = 0;
-  };
+  // anything validation rejects) runs through process() singly. Pooled
+  // packets cannot fail once admitted.
   std::vector<pooled_pkt> p1_group, dnn_group;
-  std::vector<double> p1_xs, dnn_xs;  ///< pooled decoded samples
-
   for (std::size_t i = 0; i < pkts.size(); ++i) {
     net::packet& pkt = *pkts[i];
-    const auto h = proto::peek_compute_header(pkt);
-    const bool poolable =
-        h && can_process(pkt) &&
-        (h->primitive == proto::primitive_id::p1_dot_product ||
-         h->primitive == proto::primitive_id::p1_p3_dnn);
-    if (!poolable) {
+    const auto h = checked_header(pkt);
+    const bool p1 = h && h->primitive == proto::primitive_id::p1_dot_product;
+    const bool dnn = h && h->primitive == proto::primitive_id::p1_p3_dnn;
+    if (p1 || dnn) {
+      (p1 ? p1_group : dnn_group).push_back(pooled_pkt{&pkt, *h});
+    } else {
       const engine_report r = process(pkt);
-      if (r.computed) {
-        out.computed[i] = true;
-        ++out.computed_packets;
-        absorb(r);
-      }
-      continue;
+      if (!r.computed) continue;
+      absorb(r);
     }
-
-    const auto input = proto::compute_input(pkt, *h);
-    const bool p1 = h->primitive == proto::primitive_id::p1_dot_product;
-    const std::size_t cols = p1 ? gemv_->weights.cols
-                                : dnn_->layers.front().weights.cols;
-    auto& group = p1 ? p1_group : dnn_group;
-    auto& xs = p1 ? p1_xs : dnn_xs;
-    // First-stage inputs use the signed encoding the client chose;
-    // chained intermediate values travel in the unit [0,1] encoding.
-    // (DNN inputs are always unit-encoded.)
-    const bool chained_input = h->hops > 0;
-    pooled_pkt entry{i, *h, xs.size() / cols,
-                     static_cast<std::size_t>(h->batch)};
-    for (std::size_t b = 0; b < entry.samples; ++b) {
-      const auto sample = input.subspan(b * cols, cols);
-      const std::vector<double> x =
-          (p1 && !chained_input) ? proto::decode_signed_vector(sample)
-                                 : proto::decode_unit_vector(sample);
-      xs.insert(xs.end(), x.begin(), x.end());
-    }
-    group.push_back(std::move(entry));
+    out.computed[i] = true;
+    ++out.computed_packets;
   }
 
-  const bool optical = config_.mode == compute_mode::on_fiber;
-
-  // ---- pooled P1: one batched GEMM over every queued sample ----------
-  if (!p1_group.empty()) {
-    engine_report agg;
-    const phot::gemm_result y =
-        analog_gemm(gemv_->weights, p1_xs, optical, agg);
-    absorb(agg);
-    const std::size_t rows = gemv_->weights.rows;
-    const std::size_t cols = gemv_->weights.cols;
-    const double scale = std::max<double>(1.0, static_cast<double>(cols));
-    for (pooled_pkt& e : p1_group) {
-      net::packet& pkt = *pkts[e.idx];
-      auto result_region = result_span(pkt, e.h, rows * e.samples);
-      const bool chained_output = e.h.has_more_stages();
-      for (std::size_t b = 0; b < e.samples; ++b) {
-        const std::size_t s = e.first_sample + b;
-        for (std::size_t r = 0; r < rows; ++r) {
-          double v = y.values[s * rows + r];
-          if (!gemv_->bias.empty()) v += gemv_->bias[r];
-          if (gemv_->relu_output && v < 0.0) v = 0.0;
-          result_region[b * rows + r] =
-              chained_output ? proto::encode_unit_u8(v / scale)
-                             : proto::encode_signed_u8(v / scale);
-        }
-      }
-      engine_report r;
-      r.computed = true;
-      r.result_bytes = static_cast<std::uint16_t>(rows * e.samples);
-      apply_postlude(pkt, e.h, r);
-      out.computed[e.idx] = true;
-      ++out.computed_packets;
-    }
-  }
-
-  // ---- pooled DNN: layer-major GEMM over every queued sample ---------
-  if (!dnn_group.empty()) {
-    engine_report agg;
-    const double full_scale_mw = config_.dot.laser.power_mw;
-    const std::size_t total = dnn_xs.size() /
-                              dnn_->layers.front().weights.cols;
-    std::vector<double> acts = std::move(dnn_xs);
-    for (const photonic_layer& layer : dnn_->layers) {
-      const phot::gemm_result z =
-          analog_gemm(layer.weights, acts, optical, agg);
-      const std::size_t dim = layer.weights.rows;
-      acts.assign(total * dim, 0.0);
-      for (std::size_t s = 0; s < total; ++s) {
-        for (std::size_t i = 0; i < dim; ++i) {
-          double v = z.values[s * dim + i];
-          if (!layer.bias.empty()) v += layer.bias[i];
-          if (layer.activation) {
-            const double u =
-                std::clamp(v / layer.activation_scale, 0.0, 1.0);
-            acts[s * dim + i] = nonlinear_.activate(u, full_scale_mw);
-          } else {
-            acts[s * dim + i] = v;
-          }
-        }
-        if (layer.activation) {
-          agg.compute_latency_s += static_cast<double>(dim) /
-                                   config_.nonlinear.symbol_rate_hz;
-          agg.optical_symbols += dim;
-        }
-      }
-    }
-    absorb(agg);
-    const std::size_t out_dim = dnn_->layers.back().weights.rows;
-    for (pooled_pkt& e : dnn_group) {
-      net::packet& pkt = *pkts[e.idx];
-      auto result_region = result_span(pkt, e.h, (1 + out_dim) * e.samples);
-      for (std::size_t b = 0; b < e.samples; ++b) {
-        const std::size_t s = e.first_sample + b;
-        const double* act = acts.data() + s * out_dim;
-        double amax = 1e-9;
-        for (std::size_t i = 0; i < out_dim; ++i) {
-          amax = std::max(amax, std::abs(act[i]));
-        }
-        std::size_t best = 0;
-        for (std::size_t i = 1; i < out_dim; ++i) {
-          if (act[i] > act[best]) best = i;
-        }
-        const std::size_t base = b * (1 + out_dim);
-        result_region[base] = static_cast<std::uint8_t>(best);
-        for (std::size_t i = 0; i < out_dim; ++i) {
-          result_region[base + 1 + i] =
-              proto::encode_signed_u8(act[i] / amax);
-        }
-      }
-      engine_report r;
-      r.computed = true;
-      r.result_bytes = static_cast<std::uint16_t>((1 + out_dim) * e.samples);
-      apply_postlude(pkt, e.h, r);
-      out.computed[e.idx] = true;
-      ++out.computed_packets;
-    }
-  }
-
+  if (!p1_group.empty()) absorb(pooled_gemv(p1_group));
+  if (!dnn_group.empty()) absorb(pooled_dnn(dnn_group));
   return out;
 }
 

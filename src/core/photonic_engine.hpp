@@ -27,7 +27,6 @@
 #include "photonics/engine/nonlinear_unit.hpp"
 #include "photonics/engine/pattern_matcher.hpp"
 #include "photonics/engine/vector_matrix_engine.hpp"
-#include "photonics/rng.hpp"
 #include "protocol/compute_header.hpp"
 #include "protocol/compute_routing.hpp"
 
@@ -111,10 +110,10 @@ class photonic_engine {
   void set_mode(compute_mode mode) { config_.mode = mode; }
   [[nodiscard]] compute_mode mode() const { return config_.mode; }
 
-  /// Override the GEMV worker count (0 = auto: ONFIBER_THREADS env var,
-  /// else hardware concurrency). Results are bit-identical at any value —
-  /// per-row noise streams are forked in row order before dispatch.
-  void set_threads(std::size_t threads) { threads_override_ = threads; }
+  /// Override the GEMM worker count (0 = auto: ONFIBER_THREADS env var,
+  /// else hardware concurrency). Results are bit-identical at any value
+  /// (see phot::vector_matrix_engine).
+  void set_threads(std::size_t threads) { gemm_.set_threads(threads); }
 
   /// Can this engine serve packets asking for `p`?
   [[nodiscard]] bool supports(proto::primitive_id p) const;
@@ -134,18 +133,19 @@ class photonic_engine {
 
   /// Would process() compute this packet? Pure validation — parses the
   /// header and checks primitive support, input shape and result-region
-  /// bounds without touching any noise stream. Used by the runtime to
-  /// admit packets into a site batch only when the later batched compute
-  /// cannot fail.
+  /// bounds without touching any noise stream. This is process()'s only
+  /// check; the runtime also uses it to admit packets into a site batch
+  /// only when the later batched compute cannot fail.
   [[nodiscard]] bool can_process(const net::packet& pkt) const;
 
   /// Process many compute packets as one batch. GEMV (P1) packets pool
   /// their samples into a single batched GEMM — the per-row weight rails
   /// are split once and every queued sample streams through them — and
   /// DNN packets run layer-major over the pooled sample set. Other
-  /// primitives fall back to process() one by one. Each packet gets the
-  /// same in-place writeback and header postlude as process(); a batch of
-  /// one P1/DNN packet with batch field 1 is bit-identical to process().
+  /// primitives fall back to process() one by one. process() runs the
+  /// same pooled code on its one packet, so a batch of one packet is
+  /// bit-identical to process() — payload and report — at any header
+  /// batch field.
   batch_report process_batch(std::span<net::packet* const> pkts);
 
   /// Optical preamble detection (§3): does this waveform begin with the
@@ -157,37 +157,45 @@ class photonic_engine {
   [[nodiscard]] phot::waveform encode_preamble();
 
  private:
-  engine_report run_gemv(const proto::compute_header& h, net::packet& pkt);
-  engine_report run_match(const proto::compute_header& h, net::packet& pkt);
-  engine_report run_nonlinear(const proto::compute_header& h,
-                              net::packet& pkt);
-  engine_report run_dnn(const proto::compute_header& h, net::packet& pkt);
+  /// A packet that passed validation, queued for a pooled GEMM pass.
+  struct pooled_pkt {
+    net::packet* pkt = nullptr;
+    proto::compute_header h{};
+  };
 
-  /// One signed GEMV over the analog units; shared by P1 and DNN layers.
-  /// `input_is_optical` selects the on-fiber input path. Thin batch-1
-  /// wrapper over analog_gemm (bit-identical to the historical per-vector
-  /// path by construction).
-  [[nodiscard]] phot::gemv_result analog_gemv(const phot::matrix& w,
-                                              std::span<const double> x,
-                                              bool input_is_optical,
-                                              engine_report& report);
+  /// The header of a packet process() can compute; nullopt otherwise.
+  [[nodiscard]] std::optional<proto::compute_header> checked_header(
+      const net::packet& pkt) const;
 
-  /// Batched signed GEMM over the analog units: `xs` carries
-  /// xs.size() / w.cols input vectors back to back. Per-row noise streams
-  /// are forked in row order exactly once per call — independent of batch
-  /// size — and each row's unit splits its weight rails once, then streams
-  /// every sample through them. Rows run on the deterministic worker pool
-  /// (see photonics/kernels.hpp): one forked stream and one private ledger
-  /// per row, merged in row order. Returns sample-major values.
+  /// P1 and DNN over every sample of `group`: one GEMM per layer over the
+  /// pooled samples, then per-packet writeback and header postlude. Both
+  /// process() (a group of one) and process_batch() call these. The
+  /// report's result_bytes is the total written across the group.
+  engine_report pooled_gemv(std::span<pooled_pkt> group);
+  engine_report pooled_dnn(std::span<pooled_pkt> group);
+
+  /// Decode every sample of `group` back to back, `cols` values each.
+  /// Unit-encoded, except first-stage (hops == 0) inputs when
+  /// `signed_first_stage` is set.
+  [[nodiscard]] static std::vector<double> pool_samples(
+      std::span<const pooled_pkt> group, std::size_t cols,
+      bool signed_first_stage);
+
+  engine_report run_match(proto::compute_header h, net::packet& pkt);
+  engine_report run_nonlinear(proto::compute_header h, net::packet& pkt);
+
+  /// Signed GEMM over `xs` (xs.size() / w.cols samples back to back) on
+  /// the shared kernel. On fiber, the samples' optical rails are first
+  /// reconstructed on the ledger-free upstream encoder; OEO charges the
+  /// receive ADC and the re-encoding DACs. Returns sample-major values.
   [[nodiscard]] phot::gemm_result analog_gemm(const phot::matrix& w,
                                               std::span<const double> xs,
-                                              bool input_is_optical,
                                               engine_report& report);
 
   /// Shared post-compute packet rewrite: bump hops, record the result
   /// length, advance the chain stage or set flag_has_result.
-  void apply_postlude(net::packet& pkt, proto::compute_header& h,
-                      const engine_report& report);
+  static void apply_postlude(net::packet& pkt, proto::compute_header& h,
+                             std::uint16_t result_bytes);
 
   engine_config config_;
   /// Ledger-free twin used to reconstruct the optical form of incoming
@@ -197,8 +205,7 @@ class photonic_engine {
   phot::pattern_matcher matcher_;
   phot::pattern_matcher upstream_phase_encoder_;  // ledger-free, see above
   phot::nonlinear_unit nonlinear_;
-  phot::rng row_seed_stream_;  ///< forked per GEMV row, in row order
-  std::size_t threads_override_ = 0;
+  phot::vector_matrix_engine gemm_;  ///< every P1 and DNN layer runs here
   phot::energy_ledger* ledger_ = nullptr;
   phot::energy_costs costs_{};
 

@@ -9,9 +9,6 @@
 
 namespace onfiber::phot {
 
-namespace {
-
-/// Split a signed [-1,1] vector into non-negative rails (x+, x-).
 void split_rails(std::span<const double> x, std::vector<double>& pos,
                  std::vector<double>& neg) {
   pos.resize(x.size());
@@ -21,6 +18,8 @@ void split_rails(std::span<const double> x, std::vector<double>& pos,
     neg[i] = x[i] < 0.0 ? -x[i] : 0.0;
   }
 }
+
+namespace {
 
 void require_pair(std::size_t a, std::size_t b) {
   if (a != b || a == 0) {
@@ -164,6 +163,13 @@ void dot_product_unit::skip_signed_samples(std::uint64_t samples,
   dac_a_.skip_draws(per_device);
   dac_b_.skip_draws(per_device);
   laser_.skip_symbols(per_device);
+  detector_.skip_readouts(4 * samples);
+  adc_out_.skip_draws(4 * samples);
+}
+
+void dot_product_unit::skip_optical_samples(std::uint64_t samples,
+                                            std::uint64_t dim) {
+  dac_b_.skip_draws(4 * samples * dim);
   detector_.skip_readouts(4 * samples);
   adc_out_.skip_draws(4 * samples);
 }

@@ -51,6 +51,11 @@ struct dot_result {
   std::uint64_t symbols = 0; ///< optical symbols consumed
 };
 
+/// Split a signed [-1,1] vector into its non-negative rails, x = pos - neg
+/// (the differential decomposition every signed pass uses).
+void split_rails(std::span<const double> x, std::vector<double>& pos,
+                 std::vector<double>& neg);
+
 /// P1 primitive. One instance owns its devices and noise streams; a single
 /// experiment seed makes every evaluation reproducible.
 class dot_product_unit {
@@ -128,6 +133,13 @@ class dot_product_unit {
   /// independent work cells that still draw the exact indices the serial
   /// loop would.
   void skip_signed_samples(std::uint64_t samples, std::uint64_t dim);
+
+  /// The on-fiber twin of skip_signed_samples: advance past `samples`
+  /// signed samples of dimension `dim` evaluated as four
+  /// dot_with_optical_input passes each. Those passes draw only on the
+  /// b-side DAC (4*dim indices) and the detector and output ADC (4 each);
+  /// the a-side DAC and the laser stay put.
+  void skip_optical_samples(std::uint64_t samples, std::uint64_t dim);
 
   /// Calibrated full-scale receive power of this unit's own encode path
   /// [mW]: power seen when encoding 1.0 through both modulators at b=1.

@@ -9,18 +9,27 @@
 namespace onfiber::phot {
 
 namespace {
-// Lazily resolved stage-timing histograms (the engine is constructed
-// long before tracing may be flipped on).
-obs::histogram& gemv_wall_hist() {
-  static obs::histogram& h =
-      obs::registry::global().get_histogram("kernel.gemv_wall_s");
-  return h;
-}
+// Lazily resolved stage-timing histogram (the engine is constructed long
+// before tracing may be flipped on).
 obs::histogram& gemm_wall_hist() {
   static obs::histogram& h =
       obs::registry::global().get_histogram("kernel.gemm_wall_s");
   return h;
 }
+
+/// Batch-1 view of a GEMM result.
+gemv_result as_gemv(gemm_result g) {
+  gemv_result out;
+  out.values = std::move(g.values);
+  out.latency_s = g.latency_s;
+  out.symbols = g.symbols;
+  return out;
+}
+
+// Samples per work cell. A fixed constant, NOT derived from the thread
+// count, so the cell structure — and with it every float fold — is
+// identical at any ONFIBER_THREADS value.
+constexpr std::size_t kSamplesPerCell = 8;
 }  // namespace
 
 vector_matrix_engine::vector_matrix_engine(dot_product_config config,
@@ -30,47 +39,53 @@ vector_matrix_engine::vector_matrix_engine(dot_product_config config,
     : config_(config),
       ledger_(ledger),
       costs_(costs),
-      unit_(config, seed, ledger, costs),
       row_seed_stream_(seed ^ 0x726f7773ULL /* "rows" */) {}
 
-gemv_result vector_matrix_engine::run_gemv(const matrix& w,
-                                           std::span<const double> x,
-                                           bool signed_inputs) {
-  if (w.cols != x.size() || w.rows == 0) {
-    throw std::invalid_argument("vector_matrix_engine: shape mismatch");
-  }
-  const obs::scoped_timer timer(gemv_wall_hist());
+template <class CellBody>
+gemm_result vector_matrix_engine::run_cells(const matrix& w,
+                                            std::size_t batch,
+                                            const CellBody& body) {
+  const obs::scoped_timer timer(gemm_wall_hist());
   const std::size_t rows = w.rows;
 
   // Fork every row's seed up front, in row order: the only RNG state the
-  // workers touch afterwards is row-private, so scheduling cannot change
+  // workers touch afterwards is cell-private, so scheduling cannot change
   // any draw.
   std::vector<std::uint64_t> seeds(rows);
   for (std::uint64_t& s : seeds) s = row_seed_stream_();
 
-  std::vector<dot_result> row_results(rows);
-  std::vector<energy_ledger> row_ledgers(ledger_ != nullptr ? rows : 0);
+  const std::size_t chunks = (batch + kSamplesPerCell - 1) / kSamplesPerCell;
+  const std::size_t n_cells = rows * chunks;
+  std::vector<dot_result> cells(rows * batch);
+  std::vector<energy_ledger> cell_ledgers(ledger_ != nullptr ? n_cells : 0);
 
-  parallel_rows(rows, kernel_thread_count(threads_override_),
-                [&](std::size_t r) {
-                  dot_product_unit unit(
-                      config_, seeds[r],
-                      ledger_ != nullptr ? &row_ledgers[r] : nullptr, costs_);
-                  row_results[r] = signed_inputs
-                                       ? unit.dot_signed(w.row(r), x)
-                                       : unit.dot_unit_range(w.row(r), x);
-                });
+  parallel_rows(
+      n_cells, kernel_thread_count(threads_override_), [&](std::size_t cell) {
+        const std::size_t r = cell / chunks;
+        const std::size_t s_begin = (cell % chunks) * kSamplesPerCell;
+        const std::size_t s_end = std::min(batch, s_begin + kSamplesPerCell);
+        dot_product_unit unit(
+            config_, seeds[r],
+            ledger_ != nullptr ? &cell_ledgers[cell] : nullptr, costs_);
+        body(unit, r, s_begin, s_end, cells.data() + r * batch);
+      });
 
-  gemv_result out;
-  out.values.reserve(rows);
-  for (const dot_result& d : row_results) {
-    out.values.push_back(d.value);
-    out.latency_s += d.latency_s;
-    out.symbols += d.symbols;
+  gemm_result out;
+  out.batch = batch;
+  out.values.assign(batch * rows, 0.0);
+  // Fold rows-outer / samples-inner — a fixed order, so aggregate float
+  // sums are thread-invariant.
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t s = 0; s < batch; ++s) {
+      const dot_result& d = cells[r * batch + s];
+      out.values[s * rows + r] = d.value;
+      out.latency_s += d.latency_s;
+      out.symbols += d.symbols;
+    }
   }
   if (ledger_ != nullptr) {
-    // Merge in row order so the ledger's float sums are thread-invariant.
-    for (const energy_ledger& l : row_ledgers) ledger_->merge(l);
+    // Merge in (row, cell) order — fixed, thread-invariant.
+    for (const energy_ledger& l : cell_ledgers) ledger_->merge(l);
   }
   return out;
 }
@@ -81,94 +96,87 @@ gemm_result vector_matrix_engine::gemm_signed(const matrix& w,
       xs.size() % w.cols != 0) {
     throw std::invalid_argument("vector_matrix_engine: gemm shape mismatch");
   }
-  const obs::scoped_timer timer(gemm_wall_hist());
-  const std::size_t rows = w.rows;
   const std::size_t cols = w.cols;
-  const std::size_t batch = xs.size() / cols;
 
-  // Exactly one seed fork per row, independent of batch size: a batch of
-  // one advances the row-seed stream the same way gemv_signed does.
-  std::vector<std::uint64_t> seeds(rows);
-  for (std::uint64_t& s : seeds) s = row_seed_stream_();
+  // Split every sample's rails once up front; cells share them read-only.
+  std::vector<double> xs_pos, xs_neg;
+  split_rails(xs, xs_pos, xs_neg);
 
-  // Split every sample's rails once up front; rows share them read-only.
-  std::vector<double> xs_pos(xs.size());
-  std::vector<double> xs_neg(xs.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    xs_pos[i] = xs[i] > 0.0 ? xs[i] : 0.0;
-    xs_neg[i] = xs[i] < 0.0 ? -xs[i] : 0.0;
-  }
-
-  std::vector<dot_result> cells(rows * batch);
-
-  // Work decomposition: rows x sample-chunks. The counter-based device
-  // streams make draw index i addressable directly, so a chunk starting
-  // at sample s0 seeks its unit's streams past s0 samples in O(1) and
-  // then draws the exact indices the serial row loop would — splitting a
-  // row across workers changes nothing but wall-clock time. The chunk
-  // size is a fixed constant (NOT derived from the thread count), so the
-  // cell structure — and with it every float fold — is identical at any
-  // ONFIBER_THREADS value.
-  constexpr std::size_t kSamplesPerCell = 8;
-  const std::size_t chunks = (batch + kSamplesPerCell - 1) / kSamplesPerCell;
-  const std::size_t n_cells = rows * chunks;
-  std::vector<energy_ledger> cell_ledgers(ledger_ != nullptr ? n_cells : 0);
-
-  parallel_rows(
-      n_cells, kernel_thread_count(threads_override_), [&](std::size_t cell) {
-        const std::size_t r = cell / chunks;
-        const std::size_t chunk = cell % chunks;
-        const std::size_t s_begin = chunk * kSamplesPerCell;
-        const std::size_t s_end =
-            std::min(batch, s_begin + kSamplesPerCell);
-        dot_product_unit unit(
-            config_, seeds[r],
-            ledger_ != nullptr ? &cell_ledgers[cell] : nullptr, costs_);
+  return run_cells(
+      w, xs.size() / cols,
+      [&](dot_product_unit& unit, std::size_t r, std::size_t s_begin,
+          std::size_t s_end, dot_result* row_cells) {
         unit.skip_signed_samples(s_begin, cols);
-        // Split this row's weight rails once per cell; every sample then
-        // streams through the same rails on the unit's noise streams.
-        const auto row = w.row(r);
-        std::vector<double> w_pos(cols);
-        std::vector<double> w_neg(cols);
-        for (std::size_t c = 0; c < cols; ++c) {
-          w_pos[c] = row[c] > 0.0 ? row[c] : 0.0;
-          w_neg[c] = row[c] < 0.0 ? -row[c] : 0.0;
-        }
+        // The row's weight rails are split once per cell; every sample
+        // then streams through them (dot_signed == split +
+        // dot_signed_rails, so a batch of one matches dot_signed).
+        std::vector<double> w_pos, w_neg;
+        split_rails(w.row(r), w_pos, w_neg);
         for (std::size_t s = s_begin; s < s_end; ++s) {
           const std::span<const double> xp(xs_pos.data() + s * cols, cols);
           const std::span<const double> xn(xs_neg.data() + s * cols, cols);
-          cells[r * batch + s] = unit.dot_signed_rails(w_pos, w_neg, xp, xn);
+          row_cells[s] = unit.dot_signed_rails(w_pos, w_neg, xp, xn);
         }
       });
+}
 
-  gemm_result out;
-  out.batch = batch;
-  out.values.assign(batch * rows, 0.0);
-  // Fold rows-outer / samples-inner — a fixed order, so aggregate float
-  // sums are thread-invariant and a batch of one folds exactly like gemv.
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t s = 0; s < batch; ++s) {
-      const dot_result& d = cells[r * batch + s];
-      out.values[s * rows + r] = d.value;
-      out.latency_s += d.latency_s;
-      out.symbols += d.symbols;
-    }
+gemm_result vector_matrix_engine::gemm_optical(const matrix& w,
+                                               std::span<const waveform> pos,
+                                               std::span<const waveform> neg,
+                                               double reference_power_mw) {
+  const bool shaped =
+      w.rows > 0 && w.cols > 0 && !pos.empty() && pos.size() == neg.size() &&
+      std::all_of(pos.begin(), pos.end(),
+                  [&](const waveform& p) { return p.size() == w.cols; }) &&
+      std::all_of(neg.begin(), neg.end(),
+                  [&](const waveform& n) { return n.size() == w.cols; });
+  if (!shaped) {
+    throw std::invalid_argument(
+        "vector_matrix_engine: optical gemm shape mismatch");
   }
-  if (ledger_ != nullptr) {
-    // Merge in (row, chunk) order — fixed, thread-invariant.
-    for (const energy_ledger& l : cell_ledgers) ledger_->merge(l);
-  }
-  return out;
+  const std::size_t cols = w.cols;
+  const double ref = reference_power_mw;
+
+  return run_cells(
+      w, pos.size(),
+      [&](dot_product_unit& unit, std::size_t r, std::size_t s_begin,
+          std::size_t s_end, dot_result* row_cells) {
+        unit.skip_optical_samples(s_begin, cols);
+        std::vector<double> wp, wn;
+        split_rails(w.row(r), wp, wn);
+        for (std::size_t s = s_begin; s < s_end; ++s) {
+          const auto pp = unit.dot_with_optical_input(pos[s], wp, ref);
+          const auto nn = unit.dot_with_optical_input(neg[s], wn, ref);
+          const auto pn = unit.dot_with_optical_input(pos[s], wn, ref);
+          const auto np = unit.dot_with_optical_input(neg[s], wp, ref);
+          dot_result& d = row_cells[s];
+          d.value = pp.value + nn.value - pn.value - np.value;
+          d.latency_s =
+              pp.latency_s + nn.latency_s + pn.latency_s + np.latency_s;
+          d.symbols = pp.symbols + nn.symbols + pn.symbols + np.symbols;
+        }
+      });
 }
 
 gemv_result vector_matrix_engine::gemv_signed(const matrix& w,
                                               std::span<const double> x) {
-  return run_gemv(w, x, /*signed_inputs=*/true);
+  if (w.cols != x.size()) {
+    throw std::invalid_argument("vector_matrix_engine: shape mismatch");
+  }
+  return as_gemv(gemm_signed(w, x));
 }
 
 gemv_result vector_matrix_engine::gemv_unit_range(const matrix& w,
                                                   std::span<const double> x) {
-  return run_gemv(w, x, /*signed_inputs=*/false);
+  if (w.cols != x.size() || w.rows == 0) {
+    throw std::invalid_argument("vector_matrix_engine: shape mismatch");
+  }
+  return as_gemv(run_cells(
+      w, 1,
+      [&](dot_product_unit& unit, std::size_t r, std::size_t, std::size_t,
+          dot_result* row_cells) {
+        row_cells[0] = unit.dot_unit_range(w.row(r), x);
+      }));
 }
 
 std::vector<double> gemv_reference(const matrix& w,

@@ -53,18 +53,19 @@ struct gemm_result {
   std::uint64_t symbols = 0;
 };
 
+/// The simulator's one GEMM kernel. Every matrix product — the apps'
+/// GEMVs and the transponder engine's P1 and DNN layers — runs through
+/// one cell scheduler that forks per-row seeds, splits work into cells, and
+/// folds the results; the public calls differ only in the cell body.
 class vector_matrix_engine {
  public:
   vector_matrix_engine(dot_product_config config, std::uint64_t seed,
                        energy_ledger* ledger = nullptr,
                        energy_costs costs = {});
 
-  /// y = W x for signed W, x in [-1, 1]. Rows run on a deterministic
-  /// worker pool: per-row noise streams are forked from the engine's
-  /// row-seed stream in row order before dispatch, so the result (values,
-  /// latency, symbols, energy totals) is bit-identical at any thread
-  /// count. Latency still models the time-multiplexed single analog unit
-  /// and adds up across rows.
+  /// y = W x for signed W, x in [-1, 1]: gemm_signed with a batch of one.
+  /// Latency models the time-multiplexed single analog unit and adds up
+  /// across rows.
   [[nodiscard]] gemv_result gemv_signed(const matrix& w,
                                         std::span<const double> x);
 
@@ -75,33 +76,49 @@ class vector_matrix_engine {
   /// Batched GEMM: `xs` holds batch = xs.size() / w.cols signed input
   /// vectors back to back; every sample streams through the same per-row
   /// weight rails (the photonic analogue of holding the MZM weight bank
-  /// steady while symbols fly by). Per-row seeds are forked in row order
-  /// exactly as in gemv_signed, so a batch of one is bit-identical to
-  /// gemv_signed. Work is decomposed into rows x fixed-size sample
-  /// chunks: the counter-based device streams are seekable in O(1), so a
-  /// chunk starting mid-row draws the exact noise indices the serial
-  /// loop would — large batches parallelize beyond the row count while
-  /// every sample stays bit-identical at any thread count, batch size,
-  /// or chunk boundary.
+  /// steady while symbols fly by).
+  ///
+  /// Determinism contract (photonics/kernels.hpp): exactly one seed per
+  /// row is forked from the engine's row-seed stream, in row order,
+  /// before dispatch — independent of batch size, so a batch of one is
+  /// bit-identical to gemv_signed. Work is decomposed into rows x fixed
+  /// 8-sample cells: the counter-based device streams are seekable in
+  /// O(1), so a cell starting mid-row draws the exact noise indices the
+  /// serial loop would. Cells run on the worker pool with private
+  /// ledgers, folded and merged in (row, cell) order, so values, latency,
+  /// symbols and energy totals are bit-identical at any thread count,
+  /// batch size, or cell boundary.
   [[nodiscard]] gemm_result gemm_signed(const matrix& w,
                                         std::span<const double> xs);
+
+  /// On-fiber GEMM: sample s arrives as two optical rail waveforms,
+  /// `pos[s]` and `neg[s]` (x+ and x-, each w.cols symbols), whose powers
+  /// encode the rails relative to `reference_power_mw`. Each row consumes
+  /// optical copies of the rails (wavelength/splitter fan-out in
+  /// hardware) through dot_with_optical_input, so no a-side DAC runs.
+  /// Same seed, cell and fold contract as gemm_signed.
+  [[nodiscard]] gemm_result gemm_optical(const matrix& w,
+                                         std::span<const waveform> pos,
+                                         std::span<const waveform> neg,
+                                         double reference_power_mw);
 
   /// Override the worker count (0 = auto: ONFIBER_THREADS env var, else
   /// hardware concurrency). Any value yields bit-identical results.
   void set_threads(std::size_t threads) { threads_override_ = threads; }
 
-  [[nodiscard]] dot_product_unit& unit() { return unit_; }
-
  private:
-  [[nodiscard]] gemv_result run_gemv(const matrix& w,
-                                     std::span<const double> x,
-                                     bool signed_inputs);
+  /// The cell scheduler. `body(unit, r, s_begin, s_end, row_cells)` evaluates
+  /// samples [s_begin, s_end) of row r on `unit` — a fresh unit on the
+  /// row's seed, which the body first seeks past s_begin samples — into
+  /// row_cells[s_begin .. s_end).
+  template <class CellBody>
+  [[nodiscard]] gemm_result run_cells(const matrix& w, std::size_t batch,
+                                      const CellBody& body);
 
   dot_product_config config_;
   energy_ledger* ledger_ = nullptr;
   energy_costs costs_{};
-  dot_product_unit unit_;       ///< direct-access unit (scalar experiments)
-  rng row_seed_stream_;         ///< forked per GEMV row, in row order
+  rng row_seed_stream_;  ///< forked per GEMM row, in row order
   std::size_t threads_override_ = 0;
 };
 

@@ -401,28 +401,27 @@ TEST(TwoPassKernels, DetectorBatchMatchesScalarExactly) {
 
 // ---------------------------------------------------------------------
 // Batched engine datapath: a single-packet process_batch() is the same
-// computation as process(), payload bit for bit.
+// computation as process(), payload bit for bit and report field for
+// report field — for one-sample packets and for multi-sample packets
+// (header batch 11, so the GEMM crosses an 8-sample cell boundary), in
+// both compute modes.
 
-TEST(BatchedEngine, SinglePacketBatchMatchesProcessP1) {
-  core::gemv_task task;
-  task.weights = test_matrix(6, 24, 21);
-  task.bias.assign(6, 0.05);
-  std::vector<double> x(24);
-  phot::rng gen(3);
-  for (double& v : x) v = 2.0 * gen.uniform() - 1.0;
-
+/// process() on one copy of `pkt`, process_batch() on another engine
+/// built identically, and compare everything the two report.
+template <class Configure>
+void expect_single_packet_batch_matches_process(const net::packet& pkt,
+                                                const Configure& configure) {
   for (const auto mode :
        {core::compute_mode::on_fiber, core::compute_mode::oeo_per_hop}) {
     core::engine_config cfg;
     cfg.mode = mode;
     core::photonic_engine single(cfg, 42);
     core::photonic_engine batched(cfg, 42);
-    single.configure_gemv(task);
-    batched.configure_gemv(task);
+    configure(single);
+    configure(batched);
 
-    const net::ipv4 src(10, 0, 0, 2), dst(10, 0, 1, 2);
-    net::packet a = core::make_gemv_request(src, dst, x, 6, 1);
-    net::packet b = a;
+    net::packet a = pkt;
+    net::packet b = pkt;
     ASSERT_TRUE(batched.can_process(b));
     const core::engine_report ra = single.process(a);
     net::packet* pb[] = {&b};
@@ -437,6 +436,27 @@ TEST(BatchedEngine, SinglePacketBatchMatchesProcessP1) {
   }
 }
 
+TEST(BatchedEngine, SinglePacketBatchMatchesProcessP1) {
+  core::gemv_task task;
+  task.weights = test_matrix(6, 24, 21);
+  task.bias.assign(6, 0.05);
+  const auto configure = [&](core::photonic_engine& e) {
+    e.configure_gemv(task);
+  };
+  const net::ipv4 src(10, 0, 0, 2), dst(10, 0, 1, 2);
+  for (const std::size_t batch : {std::size_t{1}, std::size_t{11}}) {
+    std::vector<double> xs(24 * batch);
+    phot::rng gen(3);
+    for (double& v : xs) v = 2.0 * gen.uniform() - 1.0;
+    net::packet pkt = core::make_gemv_request(src, dst, xs, 6 * batch, 1);
+    auto h = proto::peek_compute_header(pkt);
+    h->batch = static_cast<std::uint8_t>(batch);
+    ASSERT_TRUE(proto::rewrite_compute_header(pkt, *h));
+    SCOPED_TRACE("batch " + std::to_string(batch));
+    expect_single_packet_batch_matches_process(pkt, configure);
+  }
+}
+
 TEST(BatchedEngine, SinglePacketBatchMatchesProcessDnn) {
   core::dnn_task task;
   core::photonic_layer l0;
@@ -447,27 +467,20 @@ TEST(BatchedEngine, SinglePacketBatchMatchesProcessDnn) {
   l1.weights = test_matrix(4, 6, 12);
   l1.activation = false;
   task.layers = {std::move(l0), std::move(l1)};
-
-  std::vector<double> sample(8);
-  phot::rng gen(8);
-  for (double& v : sample) v = gen.uniform();
-
-  core::photonic_engine single({}, 42);
-  core::photonic_engine batched({}, 42);
-  single.configure_dnn(task);
-  batched.configure_dnn(task);
-
+  const auto configure = [&](core::photonic_engine& e) {
+    e.configure_dnn(task);
+  };
   const net::ipv4 src(10, 0, 0, 2), dst(10, 0, 1, 2);
-  net::packet a = core::make_dnn_request(src, dst, sample, 4, 1);
-  net::packet b = a;
-  ASSERT_TRUE(batched.can_process(b));
-  const core::engine_report ra = single.process(a);
-  net::packet* pb[] = {&b};
-  const core::batch_report rb = batched.process_batch(pb);
-  ASSERT_TRUE(ra.computed);
-  ASSERT_EQ(rb.computed_packets, 1u);
-  EXPECT_EQ(ra.compute_latency_s, rb.compute_latency_s);
-  EXPECT_EQ(a.payload, b.payload);
+  for (const std::size_t batch : {std::size_t{1}, std::size_t{11}}) {
+    std::vector<double> samples(8 * batch);
+    phot::rng gen(8);
+    for (double& v : samples) v = gen.uniform();
+    const net::packet pkt =
+        batch == 1 ? core::make_dnn_request(src, dst, samples, 4, 1)
+                   : core::make_dnn_batch_request(src, dst, samples, 8, 4, 1);
+    SCOPED_TRACE("batch " + std::to_string(batch));
+    expect_single_packet_batch_matches_process(pkt, configure);
+  }
 }
 
 TEST(BatchedEngine, MultiPacketBatchIsDeterministic) {

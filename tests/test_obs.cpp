@@ -370,6 +370,43 @@ TEST(ObsExporter, AppendFlatPrefixesKeys) {
   EXPECT_TRUE(found);
 }
 
+// ----------------------------------------------------- kernel attribution
+
+// Per-packet engine compute runs inside the one GEMM kernel, so its
+// time lands in kernel.gemm_wall_s: one sample per P1 packet and one
+// per DNN layer.
+TEST(ObsKernelSpan, EngineProcessRecordsGemmKernelTime) {
+  obs_state_guard guard;
+  obs::set_enabled(true);
+  obs::histogram& gemm =
+      obs::registry::global().get_histogram("kernel.gemm_wall_s");
+
+  core::photonic_engine engine({}, 5);
+  core::gemv_task gemv;
+  gemv.weights = phot::matrix(3, 4);
+  for (double& v : gemv.weights.data) v = 0.25;
+  engine.configure_gemv(gemv);
+  core::dnn_task dnn;
+  dnn.layers.resize(2);
+  dnn.layers[0].weights = phot::matrix(3, 4);
+  dnn.layers[1].weights = phot::matrix(2, 3);
+  for (core::photonic_layer& l : dnn.layers) {
+    for (double& v : l.weights.data) v = 0.5;
+  }
+  engine.configure_dnn(dnn);
+
+  const net::ipv4 src(10, 0, 0, 1), dst(10, 0, 0, 2);
+  const std::vector<double> x{0.5, -0.25, 0.75, 0.1};
+  net::packet p1 = core::make_gemv_request(src, dst, x, 3);
+  ASSERT_TRUE(engine.process(p1).computed);
+  EXPECT_EQ(gemm.count(), 1u);
+  const std::vector<double> u{0.5, 0.25, 0.75, 0.1};
+  net::packet d = core::make_dnn_request(src, dst, u, 2);
+  ASSERT_TRUE(engine.process(d).computed);
+  EXPECT_EQ(gemm.count(), 3u);
+  EXPECT_GT(gemm.sum(), 0.0);
+}
+
 // -------------------------------------------------------- scoped timer
 
 TEST(ObsScopedTimer, RecordsOnlyWhenEnabled) {

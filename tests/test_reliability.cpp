@@ -308,14 +308,15 @@ TEST(Reliability, ReusedTaskIdDoesNotInheritDuplicateHistory) {
 TEST(FailoverPlanner, PicksBestAlternateOverLiveLinks) {
   const net::topology topo = net::make_figure1_topology();
   const std::vector<net::node_id> capable{1, 2};
+  net::spf_engine all_up(topo);
   // All links healthy, nothing excluded: ties resolve to the first
   // capable site (B), the same choice the nearest-site routes make.
   const auto primary =
-      ctrl::plan_failover_site(topo, capable, net::invalid_node, 0, 3);
+      ctrl::plan_failover_site(all_up, capable, net::invalid_node, 0, 3);
   ASSERT_TRUE(primary.has_value());
   EXPECT_EQ(primary->site, 1u);
   // Excluding B yields C.
-  const auto alt = ctrl::plan_failover_site(topo, capable, 1, 0, 3);
+  const auto alt = ctrl::plan_failover_site(all_up, capable, 1, 0, 3);
   ASSERT_TRUE(alt.has_value());
   EXPECT_EQ(alt->site, 2u);
   EXPECT_GT(alt->via_delay_s, 0.0);
@@ -323,8 +324,8 @@ TEST(FailoverPlanner, PicksBestAlternateOverLiveLinks) {
   std::vector<bool> up(topo.links().size(), true);
   up[1] = false;  // A-C
   up[3] = false;  // C-D
-  EXPECT_FALSE(
-      ctrl::plan_failover_site(topo, capable, 1, 0, 3, &up).has_value());
+  net::spf_engine live(topo, &up);
+  EXPECT_FALSE(ctrl::plan_failover_site(live, capable, 1, 0, 3).has_value());
 }
 
 // ----------------------------------------------------------- determinism

@@ -185,11 +185,56 @@ TEST(SimdDispatch, GemmBitIdenticalAcrossLevelsThreadsAndBatch) {
   std::vector<double> xs(batch * cols);
   for (double& v : xs) v = 2.0 * gen.uniform() - 1.0;
 
+  // The optical-input body takes the same samples as launched rails:
+  // x+ and x- encoded on an upstream unit's continuing streams.
+  const double ref_mw = [] {
+    const dot_product_config cfg;
+    return cfg.laser.power_mw * db_to_ratio(-cfg.modulator.insertion_loss_db);
+  }();
+  std::vector<waveform> wave_p(batch), wave_n(batch);
+  {
+    dot_product_unit upstream({}, 777);
+    std::vector<double> xp, xn;
+    for (std::size_t s = 0; s < batch; ++s) {
+      split_rails(std::span<const double>(xs).subspan(s * cols, cols), xp, xn);
+      wave_p[s] = upstream.encode_to_optical(xp);
+      wave_n[s] = upstream.encode_to_optical(xn);
+    }
+  }
+
   level_guard guard;
   ASSERT_TRUE(simd::set_level(simd::level::scalar));
   vector_matrix_engine ref_engine({}, 555);
   ref_engine.set_threads(1);
   const gemm_result ref = ref_engine.gemm_signed(w, xs);
+  const gemm_result ref_optical =
+      ref_engine.gemm_optical(w, wave_p, wave_n, ref_mw);
+
+  // Serial row loop for the optical body: one unit per row on the row's
+  // forked seed (the engine's row-seed stream is rng(seed ^ "rows"); the
+  // optical call is the engine's second, so its seeds follow the first
+  // call's), every sample in order. The cell split must seek each
+  // cell's unit to exactly these draws.
+  {
+    rng row_seeds(555 ^ 0x726f7773ULL);
+    for (std::size_t r = 0; r < rows; ++r) (void)row_seeds();
+    for (std::size_t r = 0; r < rows; ++r) {
+      dot_product_unit unit({}, row_seeds());
+      std::vector<double> wp, wn;
+      split_rails(w.row(r), wp, wn);
+      const auto dot = [&](const waveform& a, const std::vector<double>& b) {
+        return unit.dot_with_optical_input(a, b, ref_mw).value;
+      };
+      for (std::size_t s = 0; s < batch; ++s) {
+        const double pp = dot(wave_p[s], wp);
+        const double nn = dot(wave_n[s], wn);
+        const double pn = dot(wave_p[s], wn);
+        const double np = dot(wave_n[s], wp);
+        EXPECT_EQ(ref_optical.values[s * rows + r], pp + nn - pn - np)
+            << "row " << r << " sample " << s;
+      }
+    }
+  }
 
   for (const simd::level l : supported_levels()) {
     ASSERT_TRUE(simd::set_level(l));
@@ -199,6 +244,11 @@ TEST(SimdDispatch, GemmBitIdenticalAcrossLevelsThreadsAndBatch) {
       const gemm_result r = engine.gemm_signed(w, xs);
       EXPECT_EQ(r.values, ref.values)
           << simd::level_name(l) << " threads=" << threads;
+      const gemm_result o = engine.gemm_optical(w, wave_p, wave_n, ref_mw);
+      EXPECT_EQ(o.values, ref_optical.values)
+          << "optical " << simd::level_name(l) << " threads=" << threads;
+      EXPECT_EQ(o.latency_s, ref_optical.latency_s);
+      EXPECT_EQ(o.symbols, ref_optical.symbols);
     }
   }
 
