@@ -17,6 +17,7 @@
 // queue-depth watermark stays at the bound even at 2x overload — the
 // bounded-queue contract ISSUE 10 exists to pin.
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -44,6 +45,12 @@ constexpr std::size_t kMatchWordBytes = 16;
 // overload the sites at simulated-seconds scale: 128-bit words at 2e5
 // symbols/s = 0.64 ms per evaluation, ~1562 pkt/s per site.
 constexpr double kSymbolRateHz = 2e5;
+// A slow matcher needs a proportionally narrower laser: the phase walk
+// per symbol is 2*pi*linewidth/symbol_rate, and the default 100 kHz line
+// at 2e5 symbols/s randomizes the phase every symbol, so no planted
+// signature would ever match. Scaling it keeps the default 10 GBd
+// design's phase noise.
+constexpr double kLinewidthHz = 100e3 * kSymbolRateHz / 10e9;
 constexpr std::size_t kSiteQueueBound = 64;
 
 std::vector<std::uint8_t> signature_word() {
@@ -73,6 +80,7 @@ struct level_result {
   double deferred = 0.0;
   double dropped = 0.0;
   double max_queue_depth = 0.0;
+  double match_hits = 0.0;  ///< delivered results naming the signature
   double wall_s = 0.0;
   double sustained_pps = 0.0;  ///< delivered / wall-clock second
 };
@@ -90,6 +98,7 @@ level_result run_level(std::size_t shards, double load_mult,
       phot::to_ternary(phot::bytes_to_bits(signature_word())));
   core::engine_config slow;
   slow.match.symbol_rate_hz = kSymbolRateHz;
+  slow.match.laser.linewidth_hz = kLinewidthHz;
   rt.deploy_engine(5, slow, 21).configure_match(classifier);
   rt.deploy_engine(10, slow, 22).configure_match(classifier);
   rt.install_compute_routes_via_nearest_site();
@@ -158,9 +167,13 @@ level_result run_level(std::size_t shards, double load_mult,
   plane.start(horizon_s);
 
   net::completion_recorder rec(fabric);
+  std::atomic<std::uint64_t> hits{0};  // observer runs on shard threads
   rt.set_delivery_observer(
-      [&rec](const net::packet& pkt, net::node_id at, double now) {
+      [&rec, &hits](const net::packet& pkt, net::node_id at, double now) {
         rec.record(pkt, at, now);
+        if (core::read_match_result(pkt) == std::uint8_t{0}) {
+          hits.fetch_add(1, std::memory_order_relaxed);
+        }
       });
   rt.set_record_deliveries(false);  // open-loop: no per-packet log
 
@@ -181,6 +194,7 @@ level_result run_level(std::size_t shards, double load_mult,
   r.deferred = static_cast<double>(ad.deferred);
   r.dropped = static_cast<double>(ad.dropped);
   r.max_queue_depth = static_cast<double>(ad.max_queue_depth);
+  r.match_hits = static_cast<double>(hits.load());
   r.wall_s = wall;
   r.sustained_pps =
       static_cast<double>(fabric.delivered()) / std::max(wall, 1e-9);
@@ -253,6 +267,7 @@ int main(int argc, char** argv) {
     report.set(k + "deferred", r.deferred);
     report.set(k + "dropped", r.dropped);
     report.set(k + "max_queue_depth", r.max_queue_depth);
+    report.set(k + "match_hits", r.match_hits);
     report.set(k + "sustained_pkts_per_s", r.sustained_pps);
     headline_sustained = std::max(headline_sustained, r.sustained_pps);
     if (pct == 100) headline_p99 = r.p99_s;

@@ -25,9 +25,11 @@ ONFIBER_TRACE=1 ctest --preset asan --no-tests=error \
 
 # Sharded-reliability asan gate: the reliability layer's per-shard task
 # tables, cross-shard ack handoff, and failover planning re-run with an
-# extra ONFIBER_SHARDS=4 sweep entry under Address/UB sanitizers.
+# extra ONFIBER_SHARDS=4 sweep entry under Address/UB sanitizers. The
+# spread-steering suite rides along: its hook reads the fabric's flat
+# route cache from shard threads across flap reconvergences.
 ONFIBER_SHARDS=4 ctest --preset asan --no-tests=error \
-  -R 'Reliability|Sharded'
+  -R 'Reliability|Sharded|SpreadSteering'
 
 # Traffic-plane asan gate: the open-loop workload golden traces and the
 # admission-control overload pins re-run with an extra ONFIBER_SHARDS=4
@@ -80,8 +82,10 @@ ctest --preset tsan --no-tests=error \
 # bench drives the sharded sweep end to end (shrunk packet budget —
 # full-size sweeps under tsan take minutes). Any cross-shard race in
 # the window barrier, the SPSC channels, the per-shard reliability
-# tables, or the lock-free tracer fails here.
-ONFIBER_SHARDS=4 ctest --preset tsan --no-tests=error -R 'Sharded|Reliability'
+# tables, the lock-free tracer, or the spread-steering hook's reads of
+# the flat route cache (patched only at window barriers) fails here.
+ONFIBER_SHARDS=4 ctest --preset tsan --no-tests=error \
+  -R 'Sharded|Reliability|SpreadSteering'
 
 # Routing-plane tsan gate: the golden shard-sweep and reconvergence
 # tests re-run at ONFIBER_SHARDS=4 under -fsanitize=thread. Shard

@@ -39,10 +39,6 @@ void onfiber_runtime::init() {
   // queries this engine from shard threads, which must never trigger a
   // first build over there.
   baseline_spf_.ensure_all_trees();
-  // Keep route-derived steering state in sync with the routing plane:
-  // every reconvergence (scheduled flaps included) refreshes the
-  // spread-steering first-hop matrix.
-  fabric_.set_reconvergence_callback([this] { rebuild_spread_tables(); });
   const auto n = static_cast<net::node_id>(fabric_.topo().node_count());
   for (net::node_id id = 0; id < n; ++id) {
     fabric_.set_hook(id, [this](net::node_id at, net::packet& pkt,
@@ -123,19 +119,6 @@ std::size_t onfiber_runtime::queue_depth_of(site& s, double now) {
 std::size_t onfiber_runtime::site_queue_depth(net::node_id at) {
   if (at >= sites_.size() || !sites_[at] || !sites_[at]->engine) return 0;
   return queue_depth_of(*sites_[at], sim_for(at).now());
-}
-
-void onfiber_runtime::rebuild_spread_tables() {
-  // Nothing to refresh until install_compute_routes_via_nearest_site()
-  // built the tables in the first place.
-  if (next_hop_toward_.empty()) return;
-  const auto n = static_cast<net::node_id>(fabric_.topo().node_count());
-  for (net::node_id u = 0; u < n; ++u) {
-    for (net::node_id v = 0; v < n; ++v) {
-      next_hop_toward_[u][v] =
-          u == v ? net::invalid_node : fabric_.next_hop_to_node(u, v);
-    }
-  }
 }
 
 onfiber_runtime::rel_shard* onfiber_runtime::owner_shard_of(
@@ -521,8 +504,8 @@ void onfiber_runtime::install_compute_routes_via_nearest_site() {
       proto::primitive_id::p1_p3_dnn,
   };
 
-  // Spread-steering tables: capable sites per primitive and the
-  // first-hop matrix (used when steering == flow_spread).
+  // Capable sites per primitive, ascending: the flow_spread candidates
+  // and the search set for the nearest-site routes below.
   for (auto& v : capable_sites_) v.clear();
   for (const auto p : prims) {
     for (const net::node_id s : sites()) {
@@ -531,25 +514,17 @@ void onfiber_runtime::install_compute_routes_via_nearest_site() {
       }
     }
   }
-  next_hop_toward_.assign(n, std::vector<net::node_id>(n, net::invalid_node));
-  for (net::node_id u = 0; u < n; ++u) {
-    for (net::node_id v = 0; v < n; ++v) {
-      // first_hop is invalid_node when unreachable or u == v — exactly
-      // the pairs the old paths[u][v].size() >= 2 test filtered out.
-      if (u != v) next_hop_toward_[u][v] = spf.first_hop(u, v);
-    }
-  }
 
   for (net::node_id u = 0; u < n; ++u) {
     for (const auto p : prims) {
       if (site_supports(u, p)) continue;  // computed in transit here
+      const auto& capable = capable_sites_[static_cast<std::size_t>(p)];
       for (net::node_id d = 0; d < n; ++d) {
         if (d == u) continue;
-        // Best supporting site by via-delay.
+        // Best supporting site by via-delay (u itself is not one).
         net::node_id best_site = net::invalid_node;
         double best = std::numeric_limits<double>::infinity();
-        for (const net::node_id s : sites()) {
-          if (!site_supports(s, p) || s == u) continue;
+        for (const net::node_id s : capable) {
           const double via = spf.dist(u, s) + spf.dist(s, d);
           if (via < best) {
             best = via;
@@ -782,15 +757,16 @@ net::hook_decision onfiber_runtime::on_packet(net::node_id at,
   // Flow-spread steering (§4 congestion mitigation): hash the flow
   // across ALL capable sites so no single serial engine becomes the
   // bottleneck. Per-flow deterministic, so every node along the way
-  // agrees on the chosen site and the packet converges to it.
+  // agrees on the chosen site and the packet converges to it. The hop
+  // is the fabric's installed route toward that site — the same one
+  // plain forwarding would take.
   if (steering_ == steering_policy::flow_spread) {
     const auto& candidates =
         capable_sites_[static_cast<std::size_t>(header->primitive)];
-    if (!candidates.empty() && !next_hop_toward_.empty()) {
+    if (!candidates.empty()) {
       const net::node_id target =
           candidates[pkt.flow_hash % candidates.size()];
-      const net::node_id hop =
-          target == at ? net::invalid_node : next_hop_toward_[at][target];
+      const net::node_id hop = fabric_.next_hop_to_node(at, target);
       if (hop != net::invalid_node) {
         ++stats_of(at).redirected;
         if (obs::enabled()) obs_redirected_->add();

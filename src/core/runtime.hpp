@@ -71,8 +71,11 @@ class onfiber_runtime final : public net::packet_event_sink {
   /// Built-in heuristic: for every (node, primitive, destination), steer
   /// via the supporting site minimizing total path delay. The centralized
   /// controller's optimizer (src/controller) produces better placements;
-  /// this gives examples/tests a working default. Also prepares the
-  /// spread-steering tables (below).
+  /// this gives examples/tests a working default. Also records the
+  /// capable sites per primitive that flow_spread steering hashes over;
+  /// the steering hop toward the chosen site is read from the fabric's
+  /// installed routes at each packet, so it follows every later route
+  /// install with nothing to rebuild.
   void install_compute_routes_via_nearest_site();
 
   /// How compute packets pick among capable sites (§4: "this new policy
@@ -351,14 +354,6 @@ class onfiber_runtime final : public net::packet_event_sink {
 
   net::hook_decision on_packet(net::node_id at, net::packet& pkt, double now);
 
-  /// Refresh the spread-steering first-hop matrix from the fabric's
-  /// converged flat route cache. Registered as the fabric's
-  /// reconvergence callback so flow_spread redirects follow reconverged
-  /// routes instead of chasing install-time first hops into downed
-  /// links. The compute tables deliberately stay as installed — only the
-  /// route-derived first hops are refreshed.
-  void rebuild_spread_tables();
-
   /// Run the queued batch at a site: one process_batch() call, one site
   /// overhead charge, then every computed packet re-enters the fabric
   /// when the shared analog evaluation finishes.
@@ -437,13 +432,11 @@ class onfiber_runtime final : public net::packet_event_sink {
 
   steering_policy steering_ = steering_policy::nearest_site;
   double batching_window_s_ = 0.0;  ///< 0 = per-packet compute (default)
-  /// Sites supporting each primitive (filled with the compute routes).
+  /// Sites supporting each primitive (filled with the compute routes;
+  /// empty until then, which keeps flow_spread steering off).
   std::array<std::vector<net::node_id>,
              static_cast<std::size_t>(proto::primitive_id::p1_p3_dnn) + 1>
       capable_sites_{};
-  /// next_hop_toward_[u][v]: first hop of the shortest path u -> v
-  /// (invalid_node when unreachable), for spread steering.
-  std::vector<std::vector<net::node_id>> next_hop_toward_;
 
   // -------------------------------------------------- reliability state
   bool reliability_enabled_ = false;

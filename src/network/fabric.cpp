@@ -217,9 +217,6 @@ void wan_fabric::install_shortest_path_routes() {
     obs_reconverge_ns_->observe(static_cast<double>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count()));
   }
-  // Let route-derived state upstairs (spread-steering tables) follow the
-  // reconverged plane instead of chasing pre-flap first hops.
-  if (on_reconverge_) on_reconverge_();
 }
 
 void wan_fabric::fail_link(std::size_t link_index) {
@@ -280,12 +277,6 @@ std::optional<node_id> wan_fabric::next_hop(node_id at, ipv4 dst) const {
   const route_entry* entry = tables_[at].lookup_ptr(dst);
   if (entry == nullptr) return std::nullopt;
   return entry->next;
-}
-
-node_id wan_fabric::next_hop_to_node(node_id at, node_id dest) const {
-  const std::size_t n = topo_.node_count();
-  if (at >= n || dest >= n || at == dest) return invalid_node;
-  return flat_routes_[at * n + dest].next;
 }
 
 void wan_fabric::set_hook(node_id at, hook_fn hook) {

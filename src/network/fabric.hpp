@@ -123,15 +123,6 @@ class wan_fabric final : public packet_event_sink {
     return reconvergences_;
   }
 
-  /// Called synchronously at the end of every
-  /// install_shortest_path_routes() — scheduled-flap reconvergences and
-  /// manual reinstallation alike — so higher layers can refresh state
-  /// they derived from the routing plane (the runtime rebuilds its
-  /// spread-steering tables here; see ISSUE 5's stale-steering fix).
-  using reconvergence_fn = std::function<void()>;
-  void set_reconvergence_callback(reconvergence_fn cb) {
-    on_reconverge_ = std::move(cb);
-  }
   [[nodiscard]] bool link_is_up(std::size_t link_index) const {
     return link_up_.at(link_index);
   }
@@ -227,11 +218,15 @@ class wan_fabric final : public packet_event_sink {
   [[nodiscard]] std::optional<node_id> next_hop(node_id at, ipv4 dst) const;
 
   /// Converged next hop from `at` toward destination *node* `dest`, from
-  /// the flat post-convergence route cache (invalid_node when
-  /// unreachable or out of range). Reflects exactly the routes the data
+  /// the flat post-convergence route cache (invalid_node when at == dest,
+  /// unreachable, or out of range). Reflects exactly the routes the data
   /// plane forwards on — including staleness inside a flap's
   /// reconvergence window.
-  [[nodiscard]] node_id next_hop_to_node(node_id at, node_id dest) const;
+  [[nodiscard]] node_id next_hop_to_node(node_id at, node_id dest) const {
+    const std::size_t n = topo_.node_count();
+    if (at >= n || dest >= n || at == dest) return invalid_node;
+    return flat_routes_[at * n + dest].next;
+  }
 
   /// Typed packet-hop dispatch (packet_event_sink). Not for direct use;
   /// public only because the runtime schedules held packets back through
@@ -313,7 +308,6 @@ class wan_fabric final : public packet_event_sink {
   std::vector<routing_table<route_entry>> tables_;  // one per node
   std::vector<hook_fn> hooks_;                      // one per node (may be null)
   deliver_fn on_deliver_;
-  reconvergence_fn on_reconverge_;
 
   /// attached_prefix -> owning node, for dest_hint resolution (built
   /// once; topology is immutable).

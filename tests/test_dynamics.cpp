@@ -3,10 +3,15 @@
 // generator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <tuple>
+
 #include "controller/service.hpp"
 #include "core/compute_packets.hpp"
 #include "core/runtime.hpp"
 #include "network/fabric.hpp"
+#include "network/shard_engine.hpp"
 #include "network/topology.hpp"
 
 namespace onfiber {
@@ -313,19 +318,35 @@ TEST(SpreadSteering, NearestPolicyUsesOneSite) {
   EXPECT_TRUE(one_sided);
 }
 
-TEST(SpreadSteering, FollowsReconvergedRoutesAfterFlap) {
-  // Regression: the spread-steering first-hop matrix used to be computed
-  // once at install time, so after A-B flapped and the routing plane
-  // reconverged, flow_spread kept redirecting A's traffic for site B
-  // straight into the dead link. The fabric's reconvergence callback now
-  // rebuilds the matrix, so the post-reconvergence packet detours via C.
-  net::simulator sim;
-  core::onfiber_runtime rt(sim, net::make_figure1_topology());
+/// GEMV sites at B and C of a figure-1 runtime: under flow_spread the
+/// candidates are [B, C], so flow_hash 0 picks B.
+void deploy_spread_sites(core::onfiber_runtime& rt, std::uint64_t seed) {
   core::gemv_task task;
   task.weights = phot::matrix(2, 8);
   for (double& w : task.weights.data) w = 0.5;
-  rt.deploy_engine(1, {}, 25).configure_gemv(task);  // B
-  rt.deploy_engine(2, {}, 26).configure_gemv(task);  // C
+  rt.deploy_engine(1, {}, seed).configure_gemv(task);      // B
+  rt.deploy_engine(2, {}, seed + 1).configure_gemv(task);  // C
+}
+
+net::packet spread_request_a_to_d(core::onfiber_runtime& rt,
+                                  std::uint32_t id) {
+  const std::vector<double> x(8, 0.5);
+  net::packet pkt = core::make_gemv_request(
+      rt.fabric().topo().node_at(0).address,
+      rt.fabric().topo().node_at(3).address, x, 2, id);
+  pkt.flow_hash = 0;  // candidates [B, C]: 0 % 2 -> site B
+  return pkt;
+}
+
+TEST(SpreadSteering, FollowsReconvergedRoutesAfterFlap) {
+  // Regression: spread steering once used first hops computed at install
+  // time, so after A-B flapped and the routing plane reconverged,
+  // flow_spread kept redirecting A's traffic for site B straight into
+  // the dead link. It now reads the fabric's installed next hop toward
+  // the chosen site, so the post-reconvergence packet detours via C.
+  net::simulator sim;
+  core::onfiber_runtime rt(sim, net::make_figure1_topology());
+  deploy_spread_sites(rt, 25);
   rt.install_compute_routes_via_nearest_site();
   rt.set_steering_policy(
       core::onfiber_runtime::steering_policy::flow_spread);
@@ -334,15 +355,9 @@ TEST(SpreadSteering, FollowsReconvergedRoutesAfterFlap) {
   const net::wan_fabric::link_flap flap{0, 0.001, 0.002};
   rt.fabric().schedule_flaps({&flap, 1}, 0.0005);
 
-  const std::vector<double> x(8, 0.5);
   const auto send_at = [&](double t, std::uint32_t id) {
-    sim.schedule_at(t, [&rt, &x, id] {
-      net::packet pkt = core::make_gemv_request(
-          rt.fabric().topo().node_at(0).address,
-          rt.fabric().topo().node_at(3).address, x, 2, id);
-      pkt.flow_hash = 0;  // candidates [B, C]: 0 % 2 -> site B
-      rt.submit(std::move(pkt), 0);
-    });
+    sim.schedule_at(t,
+                    [&rt, id] { rt.submit(spread_request_a_to_d(rt, id), 0); });
   };
   send_at(0.0012, 1);  // stale window: black-holed (intended behavior)
   send_at(0.0017, 2);  // post-reconvergence: must detour via C toward B
@@ -358,6 +373,169 @@ TEST(SpreadSteering, FollowsReconvergedRoutesAfterFlap) {
   const auto h = proto::peek_compute_header(rt.deliveries()[0].pkt);
   ASSERT_TRUE(h.has_value());
   EXPECT_EQ(h->task_id, 2u);
+}
+
+TEST(SpreadSteering, FollowsManualReinstall) {
+  // No scheduled flap: the control plane fails A-B and reinstalls routes
+  // by hand. The next flow_spread redirect at A toward B must take the
+  // reinstalled first hop (C), not the dead link.
+  net::simulator sim;
+  core::onfiber_runtime rt(sim, net::make_figure1_topology());
+  deploy_spread_sites(rt, 27);
+  rt.install_compute_routes_via_nearest_site();
+  rt.set_steering_policy(
+      core::onfiber_runtime::steering_policy::flow_spread);
+  EXPECT_EQ(rt.fabric().next_hop_to_node(0, 1), 1u);  // A -> B direct
+
+  rt.fabric().fail_link(0);  // A-B down
+  rt.fabric().install_shortest_path_routes();
+  ASSERT_EQ(rt.fabric().next_hop_to_node(0, 1), 2u);  // A -> B via C
+
+  rt.submit(spread_request_a_to_d(rt, 1), 0);
+  sim.run();
+
+  EXPECT_EQ(rt.fabric().drops().total(), 0u);
+  ASSERT_EQ(rt.deliveries().size(), 1u);
+  EXPECT_EQ(rt.stats().computed, 1u);
+  // The detour toward B transits C, a capable site, which computes.
+  EXPECT_GT(rt.site_busy_s(2), 0.0);
+  EXPECT_DOUBLE_EQ(rt.site_busy_s(1), 0.0);
+}
+
+TEST(SpreadSteering, InstallInsideWindowFollowsDatapath) {
+  // Compute routes installed after fail_link but before the routing
+  // plane reinstalls: spread steering follows the *installed* (stale)
+  // route toward B, exactly as plain forwarding does in that window, so
+  // both black-hole into the dead A-B link. After the reinstall both
+  // recover together. Steering never sees a route the datapath does not
+  // forward on.
+  net::simulator sim;
+  core::onfiber_runtime rt(sim, net::make_figure1_topology());
+  deploy_spread_sites(rt, 29);
+  rt.fabric().fail_link(0);  // A-B down, routes not yet reinstalled
+  rt.install_compute_routes_via_nearest_site();
+  rt.set_steering_policy(
+      core::onfiber_runtime::steering_policy::flow_spread);
+  EXPECT_EQ(rt.fabric().next_hop_to_node(0, 1), 1u);  // stale: dead link
+
+  // Plain (non-compute) A -> B traffic in the window: black-holed.
+  net::packet plain;
+  plain.src = rt.fabric().topo().node_at(0).address;
+  plain.dst = rt.fabric().topo().node_at(1).address;
+  rt.submit(plain, 0);
+  sim.run();
+  EXPECT_EQ(rt.fabric().drops().link_down, 1u);
+
+  // Spread-steered compute request toward B in the window: same fate.
+  rt.submit(spread_request_a_to_d(rt, 1), 0);
+  sim.run();
+  EXPECT_EQ(rt.fabric().drops().link_down, 2u);
+  EXPECT_TRUE(rt.deliveries().empty());
+  EXPECT_EQ(rt.stats().computed, 0u);
+
+  // Reinstall closes the window for both.
+  rt.fabric().install_shortest_path_routes();
+  rt.submit(spread_request_a_to_d(rt, 2), 0);
+  sim.run();
+  EXPECT_EQ(rt.fabric().drops().link_down, 2u);
+  ASSERT_EQ(rt.deliveries().size(), 1u);
+  EXPECT_EQ(rt.stats().computed, 1u);
+  EXPECT_GT(rt.site_busy_s(2), 0.0);
+}
+
+struct spread_flap_result {
+  /// (time_s, at, task_id) per delivery, sorted.
+  std::vector<std::tuple<double, net::node_id, std::uint32_t>> deliveries;
+  net::drop_stats drops;
+  core::onfiber_runtime::runtime_stats stats;
+};
+
+/// Figure-1 with sites at B and C under flow_spread, A-B and C-D
+/// flapping, 48 requests alternating A -> D and D -> A with varied flow
+/// hashes so both candidates are steered toward through every window.
+/// `schedule_at` injects on the scenario's clock.
+template <class ScheduleAt>
+void drive_spread_flaps(core::onfiber_runtime& rt, ScheduleAt&& schedule_at) {
+  deploy_spread_sites(rt, 31);
+  rt.install_compute_routes_via_nearest_site();
+  rt.set_steering_policy(
+      core::onfiber_runtime::steering_policy::flow_spread);
+  const net::wan_fabric::link_flap flaps[] = {
+      {0, 0.003, 0.009},  // A-B
+      {3, 0.006, 0.012},  // C-D
+  };
+  rt.fabric().schedule_flaps(flaps, 0.001, /*jitter_seed=*/11,
+                             /*reconvergence_jitter_s=*/0.0005);
+  for (std::uint32_t i = 0; i < 48; ++i) {
+    schedule_at(0.0003 * i, [&rt, i] {
+      const std::vector<double> x(8, 0.25 + 0.01 * (i % 5));
+      const bool up = i % 2 == 0;
+      const net::node_id src = up ? 0 : 3;
+      const net::node_id dst = up ? 3 : 0;
+      net::packet pkt = core::make_gemv_request(
+          rt.fabric().topo().node_at(src).address,
+          rt.fabric().topo().node_at(dst).address, x, 2, i);
+      pkt.flow_hash = (i / 2) * 2654435761u;
+      rt.submit(std::move(pkt), src);
+    });
+  }
+}
+
+spread_flap_result collect_spread(const core::onfiber_runtime& rt) {
+  spread_flap_result r;
+  for (const auto& d : rt.deliveries()) {
+    const auto h = proto::peek_compute_header(d.pkt);
+    r.deliveries.emplace_back(d.time_s, d.at,
+                              h ? h->task_id : ~std::uint32_t{0});
+  }
+  std::sort(r.deliveries.begin(), r.deliveries.end());
+  r.drops = rt.fabric().drops();
+  r.stats = rt.stats();
+  return r;
+}
+
+TEST(SpreadSteering, ShardedFlapMatchesClassic) {
+  // Shard threads run the spread hook, which reads the fabric's flat
+  // route cache while flap reconvergences patch it at window barriers.
+  // The outcome must not depend on the shard count.
+  spread_flap_result classic;
+  {
+    net::simulator sim;
+    core::onfiber_runtime rt(sim, net::make_figure1_topology());
+    drive_spread_flaps(rt, [&sim](double t, auto fn) {
+      sim.schedule_at(t, std::move(fn));
+    });
+    sim.run(5'000'000);
+    ASSERT_FALSE(sim.overran());
+    EXPECT_EQ(rt.fabric().reconvergences(), 4u);
+    classic = collect_spread(rt);
+  }
+  // The scenario really exercises the windows and both sites.
+  EXPECT_GT(classic.drops.link_down, 0u);
+  EXPECT_GT(classic.stats.computed, 0u);
+  EXPECT_GT(classic.stats.redirected, 0u);
+
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    net::shard_engine engine(shards);
+    core::onfiber_runtime rt(engine, net::make_figure1_topology());
+    drive_spread_flaps(rt, [&engine](double t, auto fn) {
+      engine.schedule_global(t, std::move(fn));
+    });
+    engine.run(5'000'000);
+    ASSERT_FALSE(engine.overran());
+    const spread_flap_result r = collect_spread(rt);
+    EXPECT_EQ(r.deliveries, classic.deliveries);
+    EXPECT_EQ(r.drops.total(), classic.drops.total());
+    EXPECT_EQ(r.drops.link_down, classic.drops.link_down);
+    EXPECT_EQ(r.drops.no_route, classic.drops.no_route);
+    EXPECT_EQ(r.drops.ttl_expired, classic.drops.ttl_expired);
+    EXPECT_EQ(r.stats.computed, classic.stats.computed);
+    EXPECT_EQ(r.stats.redirected, classic.stats.redirected);
+    EXPECT_EQ(r.stats.uncomputed_delivered,
+              classic.stats.uncomputed_delivered);
+    EXPECT_EQ(r.stats.malformed_dropped, classic.stats.malformed_dropped);
+  }
 }
 
 // --------------------------------------------------------- link failures
