@@ -223,7 +223,7 @@ int main(int argc, char** argv) {
     report.set("fabric.shards.hw_concurrency",
                static_cast<double>(std::thread::hardware_concurrency()));
     report.set("fabric.shards.cpu_affinity",
-               static_cast<double>(cpu_affinity_count()));
+               static_cast<double>(net::affinity_cpu_count()));
     const int total = 4 * kPackets;
     double base = 0.0;
     for (const std::size_t shards : shard_counts) {

@@ -246,7 +246,7 @@ int main(int argc, char** argv) {
              static_cast<double>(kSiteQueueBound));
   report.set("traffic.horizon_s", horizon_s);
   report.set("traffic.sys.cpu_affinity",
-             static_cast<double>(cpu_affinity_count()));
+             static_cast<double>(net::affinity_cpu_count()));
 
   double headline_sustained = 0.0;
   double headline_p99 = 0.0;

@@ -13,33 +13,10 @@
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <thread>
-
-#if defined(__linux__)
-#include <sched.h>
-#endif
 
 #include "photonics/simd.hpp"
 
 namespace onfiber::bench {
-
-/// CPUs actually available to this process (the affinity mask, e.g. a
-/// container/cgroup pin), not the machine's hardware thread count —
-/// hardware_concurrency() reports the latter and overstates parallel
-/// headroom on pinned runners. Falls back to hardware_concurrency()
-/// where no affinity API exists.
-inline unsigned cpu_affinity_count() {
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof set, &set) == 0) {
-    const int n = CPU_COUNT(&set);
-    if (n > 0) return static_cast<unsigned>(n);
-  }
-#endif
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
-}
 
 /// Short name of the SIMD tier the sample-plane kernels dispatched to
 /// (differs from the detected tier under an ONFIBER_SIMD override).

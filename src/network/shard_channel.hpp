@@ -6,9 +6,10 @@
 // pure function of the schedule, independent of thread interleaving.
 // Each ordered shard pair owns exactly one channel, so the ring is a
 // classic single-producer / single-consumer queue: the producer is the
-// source shard's worker, the consumer is the destination shard's worker
-// (or the coordinator while every worker is parked at the window
-// barrier — never both at once for the pop side).
+// source shard's thread, the consumer is the destination shard's thread
+// (the coordinator runs shard 0, and also drains any channel while
+// every worker is parked at a global event — never both at once for
+// the pop side).
 //
 // The ring is bounded on purpose: a producer that outruns its consumer
 // stalls (shard_engine spins it, draining its own inbound channels to

@@ -1,6 +1,7 @@
 #include "network/shard_engine.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -8,6 +9,17 @@
 #include "obs/metrics.hpp"
 
 namespace onfiber::net {
+
+namespace {
+
+std::uint64_t now_ns() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+}  // namespace
 
 shard_engine::shard_engine(std::size_t shards, std::size_t channel_capacity) {
   const std::size_t k = shards == 0 ? 1 : shards;
@@ -23,14 +35,16 @@ shard_engine::shard_engine(std::size_t shards, std::size_t channel_capacity) {
   for (std::size_t i = 0; i < k * k; ++i) {
     channels_.push_back(std::make_unique<spsc_channel>(channel_capacity));
   }
+  // A spinning waiter only pays while every shard has a CPU of its own.
+  spin_budget_ = k <= affinity_cpu_count() ? kSpinBudget : 0;
 }
 
 shard_engine::~shard_engine() {
   if (workers_started_) {
     ++generation_;
-    for (auto& mb : mailboxes_) {
-      mb->stop.store(true, std::memory_order_release);
-      mb->publish(0.0, generation_);
+    for (std::size_t i = 1; i < shard_count(); ++i) {
+      mailboxes_[i]->stop.store(true, std::memory_order_release);
+      mailboxes_[i]->publish(0.0, generation_);
     }
     for (auto& w : workers_) w.join();
   }
@@ -77,29 +91,31 @@ void shard_engine::drain_inbound(std::size_t dst) {
   }
 }
 
+std::uint64_t shard_engine::merge_inbound(std::size_t dst) {
+  drain_inbound(dst);
+  auto& staged = staging_[dst];
+  if (staged.empty()) return 0;
+  // (time, src_shard, seq) is a strict total order over parcels — the
+  // merge is a pure function of the schedule, not of which thread won
+  // a race somewhere.
+  std::sort(staged.begin(), staged.end(),
+            [](const parcel& a, const parcel& b) {
+              if (a.time_s != b.time_s) return a.time_s < b.time_s;
+              if (a.src_shard != b.src_shard) return a.src_shard < b.src_shard;
+              return a.seq < b.seq;
+            });
+  simulator& sim = *shards_[dst];
+  for (parcel& p : staged) {
+    sim.schedule_packet_at(p.time_s, std::move(p.pkt), p.node, p.op, p.sink);
+  }
+  const std::uint64_t merged = staged.size();
+  staged.clear();
+  return merged;
+}
+
 void shard_engine::merge_staged_parcels() {
-  const std::size_t k = shard_count();
-  for (std::size_t dst = 0; dst < k; ++dst) drain_inbound(dst);
-  for (std::size_t dst = 0; dst < k; ++dst) {
-    auto& staged = staging_[dst];
-    if (staged.empty()) continue;
-    // (time, src_shard, seq) is a strict total order over parcels — the
-    // merge is a pure function of the schedule, not of which thread won
-    // a race somewhere.
-    std::sort(staged.begin(), staged.end(),
-              [](const parcel& a, const parcel& b) {
-                if (a.time_s != b.time_s) return a.time_s < b.time_s;
-                if (a.src_shard != b.src_shard)
-                  return a.src_shard < b.src_shard;
-                return a.seq < b.seq;
-              });
-    stats_.parcels += staged.size();
-    simulator& sim = *shards_[dst];
-    for (parcel& p : staged) {
-      sim.schedule_packet_at(p.time_s, std::move(p.pkt), p.node, p.op,
-                             p.sink);
-    }
-    staged.clear();
+  for (std::size_t dst = 0; dst < shard_count(); ++dst) {
+    stats_.parcels += merge_inbound(dst);
   }
 }
 
@@ -123,8 +139,9 @@ bool shard_engine::anything_pending() const {
 void shard_engine::ensure_workers() {
   if (workers_started_) return;
   workers_started_ = true;
-  workers_.reserve(shard_count());
-  for (std::size_t i = 0; i < shard_count(); ++i) {
+  // Shard 0 runs on the coordinator: one thread fewer than shards.
+  workers_.reserve(shard_count() - 1);
+  for (std::size_t i = 1; i < shard_count(); ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
   }
 }
@@ -134,40 +151,64 @@ void shard_engine::worker_loop(std::size_t shard_index) {
   simulator& sim = *shards_[shard_index];
   std::uint64_t seen = 0;
   for (;;) {
-    const std::uint64_t g = mb.await_command(seen);
+    const std::uint64_t g = mb.await_command(seen, spin_budget_);
     seen = g;
     if (mb.stop.load(std::memory_order_acquire)) return;
     mb.executed = sim.run_window(mb.window_end);
     mb.done.store(g, std::memory_order_release);
     // Arrive beat: peers may still be producing into our inbound
     // channels; keep popping so a full-channel producer can unblock.
-    while (quiesce_gen_.load(std::memory_order_acquire) != g) {
+    const bool timed = obs::enabled();
+    const std::uint64_t t0 = timed ? now_ns() : 0;
+    spin_until(spin_budget_, [&] {
       drain_inbound(shard_index);
-      std::this_thread::yield();
-    }
-    // Quiesce acknowledged: from here until the next publish the
-    // coordinator owns our channels and staging buffer.
+      return merge_gen_.load(std::memory_order_acquire) == g;
+    });
+    if (timed) mb.wait_ns = now_ns() - t0;
+    // Merge beat: every shard is done, so our channels hold all of this
+    // window's parcels for us. After the ack we are parked until the
+    // next publish, and the coordinator may touch our state.
+    mb.parcels = merge_inbound(shard_index);
     mb.quiesced.store(g, std::memory_order_release);
   }
 }
 
-std::uint64_t shard_engine::execute_window(double window_end) {
+std::uint64_t shard_engine::execute_window(double window_end) noexcept {
   ++generation_;
   const std::uint64_t g = generation_;
-  for (auto& mb : mailboxes_) mb->publish(window_end, g);
-  for (auto& mb : mailboxes_) {
-    spin_until([&] { return mb->done.load(std::memory_order_acquire) == g; });
+  const std::size_t k = shard_count();
+  for (std::size_t i = 1; i < k; ++i) mailboxes_[i]->publish(window_end, g);
+  shard_mailbox& own = *mailboxes_[0];
+  own.executed = shards_[0]->run_window(window_end);
+  // Arrive beat for shard 0: keep popping its inbound channels so a
+  // worker stalled pushing into shard 0 can finish its window.
+  const bool timed = obs::enabled();
+  const std::uint64_t t0 = timed ? now_ns() : 0;
+  for (std::size_t i = 1; i < k; ++i) {
+    const shard_mailbox& mb = *mailboxes_[i];
+    spin_until(spin_budget_, [&] {
+      drain_inbound(0);
+      return mb.done.load(std::memory_order_acquire) == g;
+    });
   }
-  // Every worker is done, so no parcel can still be produced. Ask the
-  // workers to stop draining and hand the channels over.
-  quiesce_gen_.store(g, std::memory_order_release);
-  for (auto& mb : mailboxes_) {
-    spin_until(
-        [&] { return mb->quiesced.load(std::memory_order_acquire) == g; });
+  const std::uint64_t t1 = timed ? now_ns() : 0;
+  // Every shard is done, so no parcel can still be produced: each shard
+  // merges its own inbound parcels, shard 0 here.
+  merge_gen_.store(g, std::memory_order_release);
+  own.parcels = merge_inbound(0);
+  const std::uint64_t t2 = timed ? now_ns() : 0;
+  for (std::size_t i = 1; i < k; ++i) {
+    const shard_mailbox& mb = *mailboxes_[i];
+    spin_until(spin_budget_, [&] {
+      return mb.quiesced.load(std::memory_order_acquire) == g;
+    });
   }
-  merge_staged_parcels();
+  if (timed) own.wait_ns = (t1 - t0) + (now_ns() - t2);
   std::uint64_t executed = 0;
-  for (auto& mb : mailboxes_) executed += mb->executed;
+  for (const auto& mb : mailboxes_) {
+    executed += mb->executed;
+    stats_.parcels += mb->parcels;
+  }
   ++stats_.windows;
   return executed;
 }
@@ -185,6 +226,8 @@ std::uint64_t shard_engine::run(std::uint64_t max_events) {
   obs::counter* obs_parcels = nullptr;
   obs::counter* obs_stalls = nullptr;
   std::vector<obs::counter*> obs_shard_events;
+  std::vector<obs::counter*> obs_wait_ns;
+  std::vector<obs::counter*> obs_idle_windows;
   std::vector<obs::gauge*> obs_inbox_depth;
   if (obs::enabled()) {
     auto& reg = obs::registry::global();
@@ -194,6 +237,8 @@ std::uint64_t shard_engine::run(std::uint64_t max_events) {
     for (std::size_t i = 0; i < shard_count(); ++i) {
       const std::string tag = "engine.shard" + std::to_string(i);
       obs_shard_events.push_back(&reg.get_counter(tag + ".events"));
+      obs_wait_ns.push_back(&reg.get_counter(tag + ".wait_ns"));
+      obs_idle_windows.push_back(&reg.get_counter(tag + ".idle_windows"));
       obs_inbox_depth.push_back(&reg.get_gauge(tag + ".inbox_depth"));
     }
   }
@@ -236,7 +281,10 @@ std::uint64_t shard_engine::run(std::uint64_t max_events) {
       obs_parcels->add(stats_.parcels - before_parcels);
       std::uint64_t stalls = 0;
       for (std::size_t i = 0; i < shard_count(); ++i) {
-        obs_shard_events[i]->add(mailboxes_[i]->executed);
+        const shard_mailbox& mb = *mailboxes_[i];
+        obs_shard_events[i]->add(mb.executed);
+        obs_wait_ns[i]->add(mb.wait_ns);
+        if (mb.executed == 0) obs_idle_windows[i]->add(1);
         // Channel-depth gauge: the deepest any inbound channel of this
         // shard has ever been (producer-maintained high-watermark).
         std::size_t depth = 0;
@@ -244,7 +292,7 @@ std::uint64_t shard_engine::run(std::uint64_t max_events) {
           if (src != i) depth = std::max(depth, channel(src, i).max_depth());
         }
         obs_inbox_depth[i]->set(static_cast<double>(depth));
-        stalls += mailboxes_[i]->stalls;
+        stalls += mb.stalls;
       }
       if (stalls > obs_stalls->value()) {
         obs_stalls->add(stalls - obs_stalls->value());

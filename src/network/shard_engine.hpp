@@ -2,10 +2,12 @@
 // conservative-lookahead synchronization.
 //
 // The topology is partitioned into shards; each shard owns a private
-// net::simulator (the PR 3 pooled-event slab, unchanged) driven by a
-// persistent worker thread. Shards advance in conservative time windows:
-// with lookahead L = the minimum propagation delay over cross-shard
-// links, every shard may safely execute all events strictly below
+// net::simulator (the pooled-event slab). Shard 0 runs on the thread
+// that called run() (the coordinator); each of shards 1..K-1 runs on a
+// persistent worker thread. Shards advance in conservative time
+// windows: with lookahead L = the minimum propagation delay over
+// cross-shard links, every shard may safely execute all events strictly
+// below
 //
 //     window_end = min(earliest pending event across all shards) + L
 //
@@ -13,16 +15,19 @@
 // neighbor no earlier than that bound (arrival = departure + serialize
 // + link delay > departure + L >= global-min + L). Packets crossing a
 // boundary ride bounded SPSC channels as (timestamp, source-shard, seq)
-// parcels; at the window barrier the coordinator merges each shard's
-// inbound parcels in (time, src_shard, seq) order before scheduling
-// them, so the merge — and with it the whole simulation — is a pure
-// function of the schedule, not of thread interleaving.
+// parcels; at the window barrier each shard merges its own inbound
+// parcels in (time, src_shard, seq) order before scheduling them, so
+// the merge — and with it the whole simulation — is a pure function of
+// the schedule, not of thread interleaving. Barrier waits spin on-core
+// for a fixed budget before yielding, unless the engine has more shards
+// than the CPUs in the affinity mask (see shard_barrier.hpp).
 //
 // Control-plane work (link flaps, reconvergence, workload injection)
-// runs as *global events*: the coordinator parks every worker, advances
-// all shard clocks to the event time, and executes the handler alone —
-// so route tables and link state are only ever written while no shard
-// is in flight, and handlers may touch any shard's queue directly.
+// runs as *global events*: between windows every worker is parked, and
+// the coordinator advances all shard clocks to the event time and
+// executes the handler alone — so route tables and link state are only
+// ever written while no shard is in flight, and handlers may touch any
+// shard's queue directly.
 // Global events at time T execute before local events at T, matching
 // the single-engine seq order for setup-scheduled callbacks.
 //
@@ -99,7 +104,7 @@ class shard_engine {
   void schedule_global(double time_s, handler fn);
 
   /// Cross-shard hop: called by the fabric from the source shard's
-  /// worker. Blocks (with backpressure: stalls counted, own inbound
+  /// thread. Blocks (with backpressure: stalls counted, own inbound
   /// drained to keep the system live) until the channel accepts the
   /// parcel; parcels are never dropped.
   void emit_parcel(std::uint32_t src_shard, std::uint32_t dst_shard,
@@ -117,6 +122,10 @@ class shard_engine {
 
   /// Did the last run() stop at its event cap with work still pending?
   [[nodiscard]] bool overran() const { return overran_; }
+
+  /// Pause-loops a barrier wait spins before it yields: kSpinBudget, or
+  /// 0 when shard_count() exceeds the CPUs in the affinity mask.
+  [[nodiscard]] std::uint32_t spin_budget() const { return spin_budget_; }
 
   [[nodiscard]] const shard_engine_stats& stats() const { return stats_; }
 
@@ -141,20 +150,29 @@ class shard_engine {
   void worker_loop(std::size_t shard_index);
 
   /// Pop every parcel from the channels into `dst`'s staging buffer.
-  /// Called by the owning worker (backpressure relief / barrier wait)
-  /// or by the coordinator once all workers are quiescent.
+  /// Called by `dst`'s own thread (backpressure relief / barrier wait)
+  /// or by the coordinator once all workers are parked.
   void drain_inbound(std::size_t dst);
 
-  /// Coordinator only, workers quiescent: final-drain every channel,
-  /// sort each staging buffer by (time, src_shard, seq) and schedule
-  /// the parcels into the owning shard's queue.
+  /// Merge beat for one shard, with no parcel still in production:
+  /// final-drain `dst`'s channels, sort its staging buffer by (time,
+  /// src_shard, seq) and schedule the parcels into its queue. Returns
+  /// the number merged.
+  std::uint64_t merge_inbound(std::size_t dst);
+
+  /// Coordinator only, workers parked (global-event path): merge every
+  /// shard's inbound parcels.
   void merge_staged_parcels();
 
   [[nodiscard]] double min_pending_time() const;
   [[nodiscard]] bool anything_pending() const;
 
-  /// Execute one window across all workers; returns events executed.
-  std::uint64_t execute_window(double window_end);
+  /// Execute one window across all shards, shard 0 on the calling
+  /// thread; returns events executed. An exception from one of shard
+  /// 0's events ends the program, as it does on a worker thread:
+  /// unwinding out of a half-done window would leave the workers
+  /// waiting at the barrier forever.
+  std::uint64_t execute_window(double window_end) noexcept;
 
   std::vector<std::unique_ptr<simulator>> shards_;
   std::vector<std::unique_ptr<spsc_channel>> channels_;  // src*K + dst
@@ -162,8 +180,9 @@ class shard_engine {
   std::vector<std::vector<parcel>> staging_;  ///< per-dst merge buffer
 
   std::vector<std::unique_ptr<shard_mailbox>> mailboxes_;
-  std::atomic<std::uint64_t> quiesce_gen_{0};
-  std::vector<std::thread> workers_;
+  std::atomic<std::uint64_t> merge_gen_{0};  ///< merge beat generation
+  std::uint32_t spin_budget_ = 0;
+  std::vector<std::thread> workers_;  ///< shards 1..K-1
   bool workers_started_ = false;
 
   std::priority_queue<global_event, std::vector<global_event>, global_later>

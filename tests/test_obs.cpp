@@ -12,6 +12,7 @@
 
 #include "core/compute_packets.hpp"
 #include "core/runtime.hpp"
+#include "network/shard_engine.hpp"
 #include "network/topology.hpp"
 #include "obs/exporter.hpp"
 #include "obs/metrics.hpp"
@@ -405,6 +406,78 @@ TEST(ObsKernelSpan, EngineProcessRecordsGemmKernelTime) {
   ASSERT_TRUE(engine.process(d).computed);
   EXPECT_EQ(gemm.count(), 3u);
   EXPECT_GT(gemm.sum(), 0.0);
+}
+
+// ------------------------------------------------------ engine internals
+
+struct sharded_burst_result {
+  std::uint64_t executed = 0;
+  std::uint64_t delivered = 0;
+  net::shard_engine_stats stats;
+};
+
+/// 8-node chain on 4 shards (two nodes each); a burst from node 0 to
+/// node 3 keeps shards 2 and 3 empty for the whole run.
+sharded_burst_result run_sharded_burst(bool tracing) {
+  obs::set_enabled(tracing);
+  net::shard_engine engine(4);
+  net::wan_fabric fabric(engine, net::make_linear_topology(8));
+  fabric.install_shortest_path_routes();
+  engine.schedule_global(0.0, [&fabric] {
+    for (int i = 0; i < 64; ++i) {
+      net::packet pkt;
+      pkt.src = fabric.topo().node_at(0).address;
+      pkt.dst = fabric.topo().node_at(3).address;
+      pkt.payload.resize(64);
+      fabric.send(pkt, 0);
+    }
+  });
+  sharded_burst_result r;
+  r.executed = engine.run();
+  r.delivered = fabric.delivered();
+  r.stats = engine.stats();
+  return r;
+}
+
+TEST(ObsEngine, ShardWaitAndIdleWindowsOnlyWhenEnabled) {
+  obs_state_guard guard;
+  obs::registry& reg = obs::registry::global();
+  const auto counter = [&reg](std::size_t shard, const char* what) {
+    return reg.get_counter("engine.shard" + std::to_string(shard) + "." +
+                           what)
+        .value();
+  };
+  const sharded_burst_result off = run_sharded_burst(false);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(counter(i, "wait_ns"), 0u) << "shard " << i;
+    EXPECT_EQ(counter(i, "idle_windows"), 0u) << "shard " << i;
+  }
+
+  const sharded_burst_result on = run_sharded_burst(true);
+  // Timing the waits may not move the simulation.
+  EXPECT_EQ(off.executed, on.executed);
+  EXPECT_EQ(off.delivered, on.delivered);
+  EXPECT_EQ(off.stats.windows, on.stats.windows);
+  EXPECT_EQ(off.stats.parcels, on.stats.parcels);
+  EXPECT_EQ(on.delivered, 64u);
+
+  const std::uint64_t windows = on.stats.windows;
+  ASSERT_GT(windows, 0u);
+  EXPECT_EQ(reg.get_counter("engine.windows").value(), windows);
+  std::uint64_t events = 0;
+  std::uint64_t wait_ns = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    events += counter(i, "events");
+    wait_ns += counter(i, "wait_ns");
+  }
+  EXPECT_EQ(events, on.executed - on.stats.global_events);
+  EXPECT_GT(wait_ns, 0u);
+  // Shard 0 injects, so it ran events in at least its first window; the
+  // shards past the destination never ran one.
+  EXPECT_LT(counter(0, "idle_windows"), windows);
+  EXPECT_LT(counter(1, "idle_windows"), windows);
+  EXPECT_EQ(counter(2, "idle_windows"), windows);
+  EXPECT_EQ(counter(3, "idle_windows"), windows);
 }
 
 // -------------------------------------------------------- scoped timer

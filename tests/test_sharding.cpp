@@ -231,6 +231,22 @@ TEST(ShardedDeterminism, GoldenTraceWithBitErrorsAcrossShardCounts) {
   }
 }
 
+TEST(ShardedDeterminism, OversubscribedMatchesClassic) {
+  // More shards than CPUs in the affinity mask: the engine must skip
+  // its on-core spin and yield at once, and the trace must not care.
+  const std::size_t cpus = net::affinity_cpu_count();
+  const std::size_t shards = std::min<std::size_t>(cpus + 2, 16);
+  SCOPED_TRACE("shards=" + std::to_string(shards));
+  if (shards > cpus) {
+    EXPECT_EQ(net::shard_engine(shards).spin_budget(), 0u);
+  }
+  const scenario_result classic = run_classic();
+  const scenario_result r = run_sharded(shards);
+  expect_same(classic, r);
+  EXPECT_GT(r.engine.windows, 0u);
+  EXPECT_GT(r.engine.parcels, 0u);
+}
+
 TEST(ShardedDeterminism, BitIdenticalAcrossReruns) {
   const scenario_result a = run_sharded(4);
   const scenario_result b = run_sharded(4);
@@ -244,28 +260,30 @@ TEST(ShardedDeterminism, BitIdenticalAcrossReruns) {
 // producer (stalls counted, producer drains its own inbound to stay
 // live) and never drop a parcel.
 
-TEST(ShardedBackpressure, FullChannelStallsProducerWithoutDrops) {
+/// Capacity-8 channels: one burst of 400 packets from one end of an
+/// 8-node chain to the other crosses every shard boundary within a few
+/// conservative windows, far exceeding the channel.
+void expect_burst_stalls_without_drops(std::size_t shards, net::node_id src,
+                                       net::node_id dst) {
   constexpr std::size_t kCapacity = 8;
   constexpr int kPackets = 400;
-  net::shard_engine engine(2, kCapacity);
+  net::shard_engine engine(shards, kCapacity);
   net::wan_fabric fabric(engine, net::make_linear_topology(8));
   fabric.install_shortest_path_routes();
 
   std::uint64_t delivered_cb = 0;
   fabric.set_deliver_callback(
       [&](const net::packet&, net::node_id at, double) {
-        EXPECT_EQ(at, 7u);
+        EXPECT_EQ(at, dst);
         ++delivered_cb;
       });
-  // One burst: every packet crosses the shard boundary (3-4) within a
-  // few conservative windows, far exceeding the 8-parcel channel.
-  engine.schedule_global(0.0, [&fabric] {
+  engine.schedule_global(0.0, [&fabric, src, dst] {
     for (int i = 0; i < kPackets; ++i) {
       net::packet pkt;
-      pkt.src = fabric.topo().node_at(0).address;
-      pkt.dst = fabric.topo().node_at(7).address;
+      pkt.src = fabric.topo().node_at(src).address;
+      pkt.dst = fabric.topo().node_at(dst).address;
       pkt.payload.resize(64);
-      fabric.send(pkt, 0);
+      fabric.send(pkt, src);
     }
   });
   engine.run();
@@ -275,9 +293,27 @@ TEST(ShardedBackpressure, FullChannelStallsProducerWithoutDrops) {
   EXPECT_EQ(delivered_cb, static_cast<std::uint64_t>(kPackets));
   EXPECT_EQ(fabric.drops().total(), 0u);
   const net::shard_engine_stats& s = engine.stats();
-  EXPECT_EQ(s.parcels, static_cast<std::uint64_t>(kPackets));
+  // One parcel per packet per boundary: src and dst are the chain's
+  // ends and chain shards are contiguous blocks, so every packet
+  // crosses all shards - 1 boundaries.
+  EXPECT_EQ(s.parcels, (shards - 1) * kPackets);
   EXPECT_GT(s.producer_stalls, 0u);
   EXPECT_LE(s.max_channel_depth, kCapacity);
+}
+
+TEST(ShardedBackpressure, FullChannelStallsProducerWithoutDrops) {
+  // Flood away from shard 0: the worker running shard 1 consumes.
+  expect_burst_stalls_without_drops(2, 0, 7);
+}
+
+TEST(ShardedBackpressure, FullChannelIntoCoordinatorShard) {
+  // Flood into shard 0, which runs on the coordinator: it must keep
+  // popping while it waits for the workers, or the stalled worker that
+  // feeds it never finishes its window.
+  for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    expect_burst_stalls_without_drops(shards, 7, 0);
+  }
 }
 
 TEST(ShardedChannel, SpscPushPopBounds) {
