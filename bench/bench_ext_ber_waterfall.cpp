@@ -36,7 +36,7 @@ double symbol_error_rate(core::line_coding coding, double loss_db,
     fc.length_km = 80.0;
     fc.amplified = true;
     fc.symbol_rate_hz = t.config().symbol_rate_hz;
-    phot::fiber_span span(fc, phot::rng{seed + static_cast<std::uint64_t>(s)});
+    phot::fiber_span span(fc, seed + static_cast<std::uint64_t>(s));
     wave = span.propagate(wave);
   }
   return static_cast<double>(t.receive(wave, bytes).symbol_errors) / symbols;

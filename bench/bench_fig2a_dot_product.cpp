@@ -186,8 +186,8 @@ int main(int argc, char** argv) {
     // the analog energy one MAC costs — ns/MAC alone rewards a simulator
     // for cutting corners; these keys pin what quality the time buys.
     phot::dot_product_config cfg;
-    const phot::dac enob_dac(cfg.dac, phot::rng{1});
-    const phot::adc enob_adc(cfg.adc, phot::rng{2});
+    const phot::dac enob_dac(cfg.dac, 1);
+    const phot::adc enob_adc(cfg.adc, 2);
     phot::energy_ledger ledger;
     phot::dot_product_unit energy_unit({}, 600, &ledger);
     (void)energy_unit.dot_unit_range(a, b);

@@ -10,7 +10,7 @@
 #include "bench_util.hpp"
 #include "network/fabric.hpp"
 #include "network/stats.hpp"
-#include "network/traffic.hpp"
+#include "network/workload.hpp"
 #include "photonics/wdm.hpp"
 
 using namespace onfiber;
@@ -69,29 +69,40 @@ int main() {
     std::vector<double> user_bytes(users, 0.0);
     fabric.set_deliver_callback(
         [&](const net::packet& pkt, net::node_id, double) {
-          user_bytes[pkt.flow_hash % users] +=
+          user_bytes[pkt.flow_hash - 1] +=
               static_cast<double>(pkt.wire_bytes());
         });
 
+    // One tenant whose flows are single 1480 B packets, so each user's
+    // flow arrivals are its Poisson packet arrivals. Each user offers ~2x
+    // its fair share so the link saturates.
     constexpr double window_s = 2e-3;
+    constexpr double payload_bytes = 1480.0;
+    net::flow_class user_class;
+    user_class.flow_rate_fps = 2.0 * ch.net_rate_bps() /
+                               static_cast<double>(users) / (1500.0 * 8.0);
+    user_class.mice_fraction = 1.0;
+    user_class.mice = {1.3, payload_bytes, payload_bytes};
+    user_class.mtu_bytes = static_cast<std::size_t>(payload_bytes);
+    net::workload_config wc;
+    wc.tenants = {user_class};
+    wc.seed = 100;
+    net::workload_plane plane(fabric, wc);
     for (std::size_t u = 0; u < users; ++u) {
-      net::traffic_config tc;
-      // Each user offers ~2x its fair share so the link saturates.
-      tc.packet_rate_pps =
-          2.0 * ch.net_rate_bps() / static_cast<double>(users) /
-          (1500.0 * 8.0);
-      tc.min_payload_bytes = 1480;
-      tc.max_payload_bytes = 1480;
-      tc.flow_count = 1;
-      net::traffic_generator gen(tc, net::ipv4(10, 0, 0, 2),
-                                 topo.node_at(b).address, 100 + u);
-      for (auto& arr : gen.generate(window_s)) {
-        arr.pkt.flow_hash = static_cast<std::uint32_t>(u);
-        sim.schedule(arr.time_s, [&fabric, pkt = arr.pkt]() mutable {
-          fabric.send(std::move(pkt), 0);
-        });
-      }
+      // The factory tags each packet with its user for the deliver tally
+      // (as u + 1: the plane fills in a flow hash of 0 itself).
+      plane.add_injector(
+          {a, topo.node_at(b).address, 0,
+           [u](const net::flow_packet_view& v) {
+             net::packet pkt;
+             pkt.src = v.src;
+             pkt.dst = v.dst;
+             pkt.payload.resize(v.payload_bytes);
+             pkt.flow_hash = static_cast<std::uint32_t>(u + 1);
+             return pkt;
+           }});
     }
+    plane.start(window_s);
     // Count deliveries for transmissions inside the window (shift the
     // horizon by the propagation delay so in-flight packets land); the
     // backlog beyond it is exactly the over-subscription.

@@ -47,8 +47,9 @@ ONFIBER_SHARDS=4 ctest --preset asan --no-tests=error \
 ctest --preset asan --no-tests=error -R 'Spf|Routing'
 
 # SIMD dispatch gate: the sample-plane kernel, determinism, and RNG
-# suites re-run under asan with the dispatch pinned to scalar and then
-# to the host's best tier (the default run above already exercised the
+# suites, plus the device and primitive suites whose counter-keyed noise
+# streams feed the vector fills, re-run under asan with the dispatch
+# pinned to scalar and then to the host's best tier (the default run above already exercised the
 # env-resolved level). The scalar pass walks the pure-scalar TU; the
 # second pass walks the widest per-ISA TU the machine has, so the
 # vector kernels themselves run under Address/UB sanitizers. Outputs
@@ -61,7 +62,7 @@ for simd_level in scalar native; do
     export ONFIBER_SIMD="$simd_level"
   fi
   ctest --preset asan --no-tests=error \
-    -R 'SimdDispatch|Kernels|Determinism|CounterNormal|CounterStream' \
+    -R 'SimdDispatch|Kernels|Determinism|CounterNormal|CounterStream|Laser|Photodetector|Converter|Fiber|Mzm|PhaseMod|Noise|DotProduct|PatternMatch|Nonlinear' \
     -j"$(nproc)"
 done
 unset ONFIBER_SIMD

@@ -48,10 +48,10 @@ photonic_crypto::photonic_crypto(photonic_crypto_config config,
         config.detector.noise.bandwidth_hz = config.symbol_rate_hz;
         return config;
       }()),
-      laser_(config_.laser, phot::rng{seed}, ledger, costs),
-      data_mod_(config_.modulator, phot::rng{seed ^ 0x51}, ledger, costs),
-      mask_mod_(config_.modulator, phot::rng{seed ^ 0x52}, ledger, costs),
-      detector_(config_.detector, phot::rng{seed ^ 0x53}, ledger, costs) {}
+      laser_(config_.laser, seed, ledger, costs),
+      data_mod_(config_.modulator, seed ^ 0x51, ledger, costs),
+      mask_mod_(config_.modulator, seed ^ 0x52, ledger, costs),
+      detector_(config_.detector, seed ^ 0x53, ledger, costs) {}
 
 phot::waveform photonic_crypto::encrypt(std::span<const std::uint8_t> plain,
                                         digital::stream_cipher& key) {

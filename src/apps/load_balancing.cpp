@@ -13,11 +13,11 @@ photonic_comparator::photonic_comparator(config cfg, std::uint64_t seed,
                                          phot::energy_ledger* ledger,
                                          phot::energy_costs costs)
     : config_(cfg),
-      laser_(cfg.laser, phot::rng{seed}, ledger, costs),
-      mod_a_(cfg.modulator, 0.0, phot::rng{seed ^ 0x61}, ledger, costs),
-      mod_b_(cfg.modulator, 0.0, phot::rng{seed ^ 0x62}, ledger, costs),
-      det_a_(cfg.detector, phot::rng{seed ^ 0x63}, ledger, costs),
-      det_b_(cfg.detector, phot::rng{seed ^ 0x64}, ledger, costs) {
+      laser_(cfg.laser, seed, ledger, costs),
+      mod_a_(cfg.modulator, 0.0, seed ^ 0x61, ledger, costs),
+      mod_b_(cfg.modulator, 0.0, seed ^ 0x62, ledger, costs),
+      det_a_(cfg.detector, seed ^ 0x63, ledger, costs),
+      det_b_(cfg.detector, seed ^ 0x64, ledger, costs) {
   if (cfg.full_scale_load <= 0.0) {
     throw std::invalid_argument("photonic_comparator: bad full scale");
   }

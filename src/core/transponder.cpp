@@ -28,12 +28,12 @@ commodity_transponder::commodity_transponder(transponder_config config,
         config.detector.noise.bandwidth_hz = config.symbol_rate_hz;
         return config;
       }()),
-      laser_(config_.laser, phot::rng{seed}, ledger, costs),
-      modulator_(config_.modulator, /*bias_rad=*/0.0, phot::rng{seed ^ 0x10},
+      laser_(config_.laser, seed, ledger, costs),
+      modulator_(config_.modulator, /*bias_rad=*/0.0, seed ^ 0x10,
                  ledger, costs),
-      detector_(config_.detector, phot::rng{seed ^ 0x20}, ledger, costs),
-      dac_(config_.dac, phot::rng{seed ^ 0x30}, ledger, costs),
-      adc_(config_.adc, phot::rng{seed ^ 0x40}, ledger, costs) {}
+      detector_(config_.detector, seed ^ 0x20, ledger, costs),
+      dac_(config_.dac, seed ^ 0x30, ledger, costs),
+      adc_(config_.adc, seed ^ 0x40, ledger, costs) {}
 
 std::size_t commodity_transponder::symbols_for_bytes(std::size_t n) const {
   const std::size_t bits = n * 8;

@@ -3,68 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "photonics/rng.hpp"
+
 namespace onfiber::net {
-
-traffic_generator::traffic_generator(traffic_config config, ipv4 src,
-                                     ipv4 dst, std::uint64_t seed)
-    : config_(config), src_(src), dst_(dst), gen_(seed) {
-  if (config_.packet_rate_pps <= 0.0) {
-    throw std::invalid_argument("traffic_generator: rate must be positive");
-  }
-  if (config_.min_payload_bytes > config_.max_payload_bytes) {
-    throw std::invalid_argument("traffic_generator: min > max payload");
-  }
-  if (config_.flow_count == 0) {
-    throw std::invalid_argument("traffic_generator: need >= 1 flow");
-  }
-}
-
-arrival traffic_generator::next_arrival(double at) {
-  arrival a;
-  a.time_s = at;
-  a.pkt.src = src_;
-  a.pkt.dst = dst_;
-  a.pkt.id = next_id_++;
-  a.pkt.created_s = at;
-  const std::size_t span_bytes =
-      config_.max_payload_bytes - config_.min_payload_bytes;
-  const std::size_t size =
-      config_.min_payload_bytes +
-      (span_bytes == 0 ? 0 : static_cast<std::size_t>(gen_.below(span_bytes + 1)));
-  a.pkt.payload.resize(size);
-  fill_random_bytes(a.pkt.payload, gen_());
-  // Pick a synthetic flow: port pair derived from flow index.
-  const auto flow = static_cast<std::uint16_t>(gen_.below(config_.flow_count));
-  a.pkt.flow_hash = flow_hash_of(src_, dst_,
-                                 static_cast<std::uint16_t>(10000 + flow),
-                                 443, static_cast<std::uint8_t>(a.pkt.proto));
-  return a;
-}
-
-arrival traffic_generator::next() {
-  clock_ += gen_.exponential(config_.packet_rate_pps);
-  return next_arrival(clock_);
-}
-
-std::vector<arrival> traffic_generator::generate(double horizon_s) {
-  std::vector<arrival> out;
-  // Gap-first draw order: the final gap (the one that crosses the horizon)
-  // is consumed but its arrival draws are not — the exact draw sequence of
-  // the historical batch implementation, so outputs stay byte-identical.
-  for (;;) {
-    clock_ += gen_.exponential(config_.packet_rate_pps);
-    if (!(clock_ < horizon_s)) break;
-    out.push_back(next_arrival(clock_));
-  }
-  return out;
-}
-
-std::vector<arrival> traffic_generator::generate_count(std::size_t n) {
-  std::vector<arrival> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) out.push_back(next());
-  return out;
-}
 
 void fill_random_bytes(std::span<std::uint8_t> out, std::uint64_t seed) {
   phot::rng gen(seed);
@@ -74,7 +15,9 @@ void fill_random_bytes(std::span<std::uint8_t> out, std::uint64_t seed) {
 void plant_signature(std::span<std::uint8_t> payload,
                      std::span<const std::uint8_t> signature,
                      std::size_t offset) {
-  if (offset + signature.size() > payload.size()) {
+  // Written so no sum can wrap: offset near SIZE_MAX must fail the check.
+  if (offset > payload.size() ||
+      signature.size() > payload.size() - offset) {
     throw std::invalid_argument("plant_signature: signature out of bounds");
   }
   std::copy(signature.begin(), signature.end(), payload.begin() +

@@ -1,87 +1,22 @@
-// traffic.hpp — deterministic synthetic traffic generation.
+// traffic.hpp — deterministic synthetic payload bytes.
 //
 // Substitutes for the production traces the paper's evaluation would need
-// (see DESIGN.md): Poisson packet/flow arrivals with configurable size
-// distributions, plus payload fillers with optional planted byte
-// signatures (ground truth for the intrusion-detection use case).
+// (see DESIGN.md): payload fillers with optional planted byte signatures
+// (ground truth for the intrusion-detection use case). Arrival processes
+// live in the workload plane (workload.hpp).
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <vector>
-
-#include "network/packet.hpp"
-#include "photonics/rng.hpp"
 
 namespace onfiber::net {
-
-struct traffic_config {
-  double packet_rate_pps = 1e5;      ///< mean Poisson arrival rate
-  std::size_t min_payload_bytes = 64;
-  std::size_t max_payload_bytes = 1400;
-  std::uint16_t flow_count = 16;     ///< distinct synthetic 5-tuples
-};
-
-/// One generated arrival.
-struct arrival {
-  double time_s = 0.0;
-  packet pkt;
-};
-
-/// Poisson packet source between a fixed src/dst address pair.
-///
-/// The generator is a *stream*: it keeps a persistent process clock, and
-/// every accessor advances the same underlying Poisson process. `next()`
-/// produces one arrival in O(1) memory — the primitive the open-loop
-/// workload plane builds on; `generate`/`generate_count` are convenience
-/// wrappers that materialize a bounded prefix of the stream into a vector.
-///
-/// All three describe the *same* process: each arrival is preceded by an
-/// exponential gap (so the first arrival sits one gap after t = 0, never
-/// at t = 0 exactly). Historically `generate_count` placed its first
-/// arrival at t = 0 while `generate` drew the initial gap; the processes
-/// are now unified on the gap-first convention, which is the textbook
-/// Poisson process and keeps `generate(h)` byte-identical to its previous
-/// output for a fresh generator.
-class traffic_generator {
- public:
-  traffic_generator(traffic_config config, ipv4 src, ipv4 dst,
-                    std::uint64_t seed);
-
-  /// Advance the process by one exponential gap and return the arrival
-  /// there. Streaming primitive: O(1) memory regardless of how many
-  /// arrivals are drawn, so callers can sustain millions of packets.
-  [[nodiscard]] arrival next();
-
-  /// Current process clock: the timestamp of the last arrival returned
-  /// (0 before the first draw).
-  [[nodiscard]] double clock_s() const { return clock_; }
-
-  /// Materialize all arrivals with time < horizon_s (absolute time on the
-  /// persistent clock), timestamps strictly increasing. For a fresh
-  /// generator this is exactly the historical [0, horizon_s) batch.
-  [[nodiscard]] std::vector<arrival> generate(double horizon_s);
-
-  /// Materialize exactly n arrivals, continuing the stream. Equivalent to
-  /// n calls to next().
-  [[nodiscard]] std::vector<arrival> generate_count(std::size_t n);
-
- private:
-  [[nodiscard]] arrival next_arrival(double at);
-
-  traffic_config config_;
-  ipv4 src_;
-  ipv4 dst_;
-  phot::rng gen_;
-  std::uint64_t next_id_ = 1;
-  double clock_ = 0.0;
-};
 
 /// Fill `out` with pseudo-random bytes from `seed` (deterministic).
 void fill_random_bytes(std::span<std::uint8_t> out, std::uint64_t seed);
 
 /// Plant `signature` into `payload` at `offset` (for IDS ground truth).
-/// Requires offset + signature.size() <= payload.size().
+/// Requires offset + signature.size() <= payload.size(); throws
+/// std::invalid_argument otherwise.
 void plant_signature(std::span<std::uint8_t> payload,
                      std::span<const std::uint8_t> signature,
                      std::size_t offset);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <numbers>
 #include <stdexcept>
 
@@ -16,6 +17,11 @@ namespace {
 constexpr std::uint64_t kArrivalSalt = 0x776c6f61642d6172ULL;  // "wload-ar"
 constexpr std::uint64_t kFlowSalt = 0x776c6f61642d666cULL;     // "wload-fl"
 constexpr std::uint64_t kBurstSalt = 0x776c6f61642d6275ULL;    // "wload-bu"
+
+bool all_finite(std::initializer_list<double> xs) {
+  return std::all_of(xs.begin(), xs.end(),
+                     [](double x) { return std::isfinite(x); });
+}
 
 }  // namespace
 
@@ -34,6 +40,14 @@ workload_plane::workload_plane(wan_fabric& fabric, workload_config cfg)
     throw std::invalid_argument("workload_plane: need >= 1 tenant");
   }
   for (const flow_class& fc : cfg_.tenants) {
+    // A non-finite rate or bound would stall the thinning loop (an
+    // infinite peak rate never advances the clock), so reject them first.
+    if (!all_finite({fc.flow_rate_fps, fc.mice_fraction, fc.mice.alpha,
+                     fc.mice.lo_bytes, fc.mice.hi_bytes, fc.elephants.alpha,
+                     fc.elephants.lo_bytes, fc.elephants.hi_bytes,
+                     fc.min_packet_gap_s, fc.max_packet_gap_s})) {
+      throw std::invalid_argument("workload_plane: non-finite tenant field");
+    }
     if (fc.flow_rate_fps <= 0.0) {
       throw std::invalid_argument("workload_plane: flow rate must be > 0");
     }
@@ -53,6 +67,11 @@ workload_plane::workload_plane(wan_fabric& fabric, workload_config cfg)
         fc.max_packet_gap_s < fc.min_packet_gap_s) {
       throw std::invalid_argument("workload_plane: bad packet gap range");
     }
+  }
+  if (!all_finite({cfg_.diurnal.period_s, cfg_.diurnal.depth,
+                   cfg_.diurnal.phase_rad, cfg_.bursts.episodes_per_s,
+                   cfg_.bursts.duration_s, cfg_.bursts.amplitude})) {
+    throw std::invalid_argument("workload_plane: non-finite rate modulation");
   }
   if (cfg_.diurnal.period_s < 0.0 || cfg_.diurnal.depth < 0.0 ||
       cfg_.diurnal.depth > 1.0) {

@@ -64,10 +64,10 @@ inline double quantize_branch_free(double value, double full_scale,
 
 // ------------------------------------------------------------------- dac
 
-dac::dac(converter_config config, rng noise_stream, energy_ledger* ledger,
+dac::dac(converter_config config, std::uint64_t seed, energy_ledger* ledger,
          energy_costs costs)
     : config_(config),
-      noise_(counter_rng::key_of(noise_stream(), kDacTag)),
+      noise_(counter_rng::key_of(seed, kDacTag)),
       lsb_(config.full_scale / static_cast<double>((1ULL << config.bits) - 1)),
       noise_sigma_(enob_noise_sigma(config)),
       ledger_(ledger),
@@ -135,10 +135,10 @@ std::vector<double> dac::convert(std::span<const double> values) {
 
 // ------------------------------------------------------------------- adc
 
-adc::adc(converter_config config, rng noise_stream, energy_ledger* ledger,
+adc::adc(converter_config config, std::uint64_t seed, energy_ledger* ledger,
          energy_costs costs)
     : config_(config),
-      noise_(counter_rng::key_of(noise_stream(), kAdcTag)),
+      noise_(counter_rng::key_of(seed, kAdcTag)),
       lsb_(config.full_scale / static_cast<double>((1ULL << config.bits) - 1)),
       noise_sigma_(enob_noise_sigma(config)),
       ledger_(ledger),

@@ -26,11 +26,11 @@ struct converter_config {
 /// doubles already normalized by the driver.)
 class dac {
  public:
-  /// `noise_stream` keys the converter's counter-based noise stream (one
-  /// u64 is drawn from it); every converted element consumes exactly one
+  /// `seed` keys the converter's counter-based noise stream as
+  /// key_of(seed, "dac"); every converted element consumes exactly one
   /// draw index, noisy or not, so stream position is a pure function of
   /// elements converted.
-  dac(converter_config config, rng noise_stream,
+  dac(converter_config config, std::uint64_t seed,
       energy_ledger* ledger = nullptr, energy_costs costs = {});
 
   /// Convert one value. Clips to [0, full_scale], quantizes to the grid,
@@ -78,7 +78,8 @@ class dac {
 /// Analog-to-digital converter: same model in the opposite direction.
 class adc {
  public:
-  adc(converter_config config, rng noise_stream,
+  /// `seed` keys the noise stream as key_of(seed, "adc").
+  adc(converter_config config, std::uint64_t seed,
       energy_ledger* ledger = nullptr, energy_costs costs = {});
 
   [[nodiscard]] double convert(double value);

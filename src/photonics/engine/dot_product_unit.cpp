@@ -40,15 +40,13 @@ dot_product_unit::dot_product_unit(dot_product_config config,
         config.detector.noise.bandwidth_hz = config.symbol_rate_hz;
         return config;
       }()),
-      laser_(config_.laser, rng{seed}, ledger, costs),
-      mod_a_(config_.modulator, /*bias_rad=*/0.0, rng{seed ^ 0x1111}, ledger,
-             costs),
-      mod_b_(config_.modulator, /*bias_rad=*/0.0, rng{seed ^ 0x2222}, ledger,
-             costs),
-      detector_(config_.detector, rng{seed ^ 0x3333}, ledger, costs),
-      dac_a_(config_.dac, rng{seed ^ 0x4444}, ledger, costs),
-      dac_b_(config_.dac, rng{seed ^ 0x5555}, ledger, costs),
-      adc_out_(config_.adc, rng{seed ^ 0x6666}, ledger, costs),
+      laser_(config_.laser, seed, ledger, costs),
+      mod_a_(config_.modulator, /*bias_rad=*/0.0, seed ^ 0x1111, ledger, costs),
+      mod_b_(config_.modulator, /*bias_rad=*/0.0, seed ^ 0x2222, ledger, costs),
+      detector_(config_.detector, seed ^ 0x3333, ledger, costs),
+      dac_a_(config_.dac, seed ^ 0x4444, ledger, costs),
+      dac_b_(config_.dac, seed ^ 0x5555, ledger, costs),
+      adc_out_(config_.adc, seed ^ 0x6666, ledger, costs),
       ledger_(ledger),
       costs_(costs) {}
 

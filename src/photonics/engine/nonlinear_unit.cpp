@@ -16,9 +16,9 @@ nonlinear_unit::nonlinear_unit(nonlinear_config config, std::uint64_t seed,
         return config;
       }()),
       // Biased at the null: zero drive -> zero transmission.
-      through_mod_(config_.modulator, /*bias_rad=*/pi, rng{seed ^ 0x7777},
+      through_mod_(config_.modulator, /*bias_rad=*/pi, seed ^ 0x7777,
                    ledger, costs),
-      tap_detector_(config_.detector, rng{seed ^ 0x8888}, ledger, costs),
+      tap_detector_(config_.detector, seed ^ 0x8888, ledger, costs),
       ledger_(ledger),
       costs_(costs) {}
 

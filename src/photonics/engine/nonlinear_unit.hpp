@@ -20,7 +20,6 @@
 #include "photonics/energy.hpp"
 #include "photonics/modulator.hpp"
 #include "photonics/photodetector.hpp"
-#include "photonics/rng.hpp"
 
 namespace onfiber::phot {
 

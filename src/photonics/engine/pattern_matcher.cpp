@@ -39,12 +39,12 @@ pattern_matcher::pattern_matcher(pattern_match_config config,
         config.detector.noise.bandwidth_hz = config.symbol_rate_hz;
         return config;
       }()),
-      laser_(config_.laser, rng{seed}, ledger, costs),
-      mod_data_(config_.modulator, rng{seed ^ 0xaaaa}, ledger, costs),
-      mod_pattern_(config_.modulator, rng{seed ^ 0xbbbb}, ledger, costs),
-      det_match_(config_.detector, rng{seed ^ 0xcccc}, ledger, costs),
-      det_mismatch_(config_.detector, rng{seed ^ 0xdddd}, ledger, costs),
-      adc_out_(config_.adc, rng{seed ^ 0xeeee}, ledger, costs),
+      laser_(config_.laser, seed, ledger, costs),
+      mod_data_(config_.modulator, seed ^ 0xaaaa, ledger, costs),
+      mod_pattern_(config_.modulator, seed ^ 0xbbbb, ledger, costs),
+      det_match_(config_.detector, seed ^ 0xcccc, ledger, costs),
+      det_mismatch_(config_.detector, seed ^ 0xdddd, ledger, costs),
+      adc_out_(config_.adc, seed ^ 0xeeee, ledger, costs),
       ledger_(ledger),
       costs_(costs) {}
 

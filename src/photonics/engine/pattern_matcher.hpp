@@ -26,7 +26,6 @@
 #include "photonics/laser.hpp"
 #include "photonics/modulator.hpp"
 #include "photonics/photodetector.hpp"
-#include "photonics/rng.hpp"
 
 namespace onfiber::phot {
 

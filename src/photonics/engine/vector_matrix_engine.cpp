@@ -39,7 +39,7 @@ vector_matrix_engine::vector_matrix_engine(dot_product_config config,
     : config_(config),
       ledger_(ledger),
       costs_(costs),
-      row_seed_stream_(seed ^ 0x726f7773ULL /* "rows" */) {}
+      rows_seed_(seed ^ 0x726f7773ULL /* "rows" */) {}
 
 template <class CellBody>
 gemm_result vector_matrix_engine::run_cells(const matrix& w,
@@ -47,12 +47,10 @@ gemm_result vector_matrix_engine::run_cells(const matrix& w,
                                             const CellBody& body) {
   const obs::scoped_timer timer(gemm_wall_hist());
   const std::size_t rows = w.rows;
-
-  // Fork every row's seed up front, in row order: the only RNG state the
-  // workers touch afterwards is cell-private, so scheduling cannot change
-  // any draw.
-  std::vector<std::uint64_t> seeds(rows);
-  for (std::uint64_t& s : seeds) s = row_seed_stream_();
+  // Each row's seed is a pure function of (call, row): the only RNG state
+  // the workers touch is cell-private, so scheduling cannot change any
+  // draw.
+  const std::uint64_t call = calls_++;
 
   const std::size_t chunks = (batch + kSamplesPerCell - 1) / kSamplesPerCell;
   const std::size_t n_cells = rows * chunks;
@@ -65,7 +63,7 @@ gemm_result vector_matrix_engine::run_cells(const matrix& w,
         const std::size_t s_begin = (cell % chunks) * kSamplesPerCell;
         const std::size_t s_end = std::min(batch, s_begin + kSamplesPerCell);
         dot_product_unit unit(
-            config_, seeds[r],
+            config_, counter_rng::key_of(rows_seed_, call, r),
             ledger_ != nullptr ? &cell_ledgers[cell] : nullptr, costs_);
         body(unit, r, s_begin, s_end, cells.data() + r * batch);
       });

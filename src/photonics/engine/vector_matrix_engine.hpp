@@ -55,7 +55,7 @@ struct gemm_result {
 
 /// The simulator's one GEMM kernel. Every matrix product — the apps'
 /// GEMVs and the transponder engine's P1 and DNN layers — runs through
-/// one cell scheduler that forks per-row seeds, splits work into cells, and
+/// one cell scheduler that keys per-row seeds, splits work into cells, and
 /// folds the results; the public calls differ only in the cell body.
 class vector_matrix_engine {
  public:
@@ -78,13 +78,13 @@ class vector_matrix_engine {
   /// weight rails (the photonic analogue of holding the MZM weight bank
   /// steady while symbols fly by).
   ///
-  /// Determinism contract (photonics/kernels.hpp): exactly one seed per
-  /// row is forked from the engine's row-seed stream, in row order,
-  /// before dispatch — independent of batch size, so a batch of one is
-  /// bit-identical to gemv_signed. Work is decomposed into rows x fixed
-  /// 8-sample cells: the counter-based device streams are seekable in
-  /// O(1), so a cell starting mid-row draws the exact noise indices the
-  /// serial loop would. Cells run on the worker pool with private
+  /// Determinism contract (photonics/kernels.hpp): row r of the engine's
+  /// c-th GEMM call runs on the seed key_of(seed ^ "rows", c, r) —
+  /// independent of batch size, so a batch of one is bit-identical to
+  /// gemv_signed. Work is decomposed into rows x fixed 8-sample cells:
+  /// the counter-based device streams are seekable in O(1), so a cell
+  /// starting mid-row draws the exact noise indices the serial loop
+  /// would. Cells run on the worker pool with private
   /// ledgers, folded and merged in (row, cell) order, so values, latency,
   /// symbols and energy totals are bit-identical at any thread count,
   /// batch size, or cell boundary.
@@ -118,7 +118,8 @@ class vector_matrix_engine {
   dot_product_config config_;
   energy_ledger* ledger_ = nullptr;
   energy_costs costs_{};
-  rng row_seed_stream_;  ///< forked per GEMM row, in row order
+  std::uint64_t rows_seed_;  ///< seed ^ "rows": keys every row's unit
+  std::uint64_t calls_ = 0;  ///< GEMM calls made: the call index c
   std::size_t threads_override_ = 0;
 };
 

@@ -8,9 +8,8 @@ namespace {
 constexpr std::uint64_t kAseTag = 0x617365ULL;  // "ase"
 }  // namespace
 
-fiber_span::fiber_span(fiber_config config, rng noise_stream)
-    : config_(config),
-      ase_(counter_rng::key_of(noise_stream(), kAseTag)) {
+fiber_span::fiber_span(fiber_config config, std::uint64_t seed)
+    : config_(config), ase_(counter_rng::key_of(seed, kAseTag)) {
   const double span_loss_db = loss_db();
   if (config_.amplified) {
     // EDFA exactly compensates the span loss; the net field scale is 1

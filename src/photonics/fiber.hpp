@@ -23,7 +23,8 @@ struct fiber_config {
 /// Propagate a waveform through one fiber span.
 class fiber_span {
  public:
-  fiber_span(fiber_config config, rng noise_stream);
+  /// `seed` keys the ASE noise stream as key_of(seed, "ase").
+  fiber_span(fiber_config config, std::uint64_t seed);
 
   /// Apply loss (and, if amplified, gain + ASE noise) to each sample.
   [[nodiscard]] waveform propagate(std::span<const field> in);

@@ -2,11 +2,12 @@
 //
 // The simulator's determinism contract is seed-based: one experiment seed
 // must produce one bit-exact result. Parallel GEMV keeps that contract by
-// construction — per-row RNG streams are forked from a row-seed stream *in
-// row order before any work starts*, each row runs on its own device set
-// and its own energy ledger, and row results/ledgers are folded back in
-// row order at the barrier. The worker count then only changes wall-clock
-// time, never a single bit of output.
+// construction — each row's device set is seeded with a counter key, a
+// pure function of (engine seed, call index, row) that needs no shared
+// stream; each row runs on its own devices and its own energy ledger, and
+// row results/ledgers are folded back in row order at the barrier. The
+// worker count then only changes wall-clock time, never a single bit of
+// output.
 #pragma once
 
 #include <cstddef>

@@ -13,23 +13,17 @@ namespace {
 constexpr std::uint64_t kRinTag = 0x6c61735249ULL;    // "lasRI"
 constexpr std::uint64_t kPhaseTag = 0x6c61735048ULL;  // "lasPH"
 
-std::uint64_t stream_base(rng& noise_stream) { return noise_stream(); }
-
 }  // namespace
 
-laser::laser(laser_config config, rng noise_stream, energy_ledger* ledger,
+// RIN and phase draws live on unrelated streams, so either can be
+// filled, skipped, or vectorized without disturbing the other.
+laser::laser(laser_config config, std::uint64_t seed, energy_ledger* ledger,
              energy_costs costs)
     : config_(config),
-      rin_stream_(0),
-      phase_stream_(0),
+      rin_stream_(counter_rng::key_of(seed, kRinTag)),
+      phase_stream_(counter_rng::key_of(seed, kPhaseTag)),
       ledger_(ledger),
       costs_(costs) {
-  // Derive the two per-purpose counter keys from one draw of the seed
-  // stream: RIN and phase draws live on unrelated streams, so either can
-  // be filled, skipped, or vectorized without disturbing the other.
-  const std::uint64_t base = stream_base(noise_stream);
-  rin_stream_ = counter_stream(counter_rng::key_of(base, kRinTag));
-  phase_stream_ = counter_stream(counter_rng::key_of(base, kPhaseTag));
   if (config_.enable_phase_noise && config_.symbol_rate_hz > 0.0) {
     phase_step_sigma_ = std::sqrt(2.0 * std::numbers::pi *
                                   config_.linewidth_hz /

@@ -29,9 +29,9 @@ struct laser_config {
 /// 2*pi*linewidth/symbol_rate per step (standard Wiener phase-noise model).
 class laser {
  public:
-  /// `noise_stream` seeds the laser's two counter-based noise streams
-  /// (RIN and phase walk) — one u64 is drawn from it to key them.
-  laser(laser_config config, rng noise_stream,
+  /// `seed` keys the laser's two counter-based noise streams (RIN and
+  /// phase walk) as key_of(seed, tag), one tag per stream.
+  laser(laser_config config, std::uint64_t seed,
         energy_ledger* ledger = nullptr, energy_costs costs = {});
 
   /// Emit `symbols` consecutive carrier samples.

@@ -4,24 +4,33 @@
 #include <cmath>
 #include <numbers>
 
+#include "photonics/rng.hpp"
+
 namespace onfiber::phot {
 
 namespace {
 constexpr double pi = std::numbers::pi;
+constexpr std::uint64_t kBiasTag = 0x626961ULL;  // "bia"
+
+/// Static bias-point error: draw 0 of the bias-tagged key, scaled by the
+/// configured sigma.
+double static_bias_error(const modulator_config& c, std::uint64_t seed) {
+  if (c.bias_error_sigma_rad <= 0.0) return 0.0;
+  return c.bias_error_sigma_rad *
+         counter_normal(counter_rng::key_of(seed, kBiasTag), 0);
 }
+}  // namespace
 
 // ----------------------------------------------------------- mzm_modulator
 
 mzm_modulator::mzm_modulator(modulator_config config, double bias_rad,
-                             rng bias_noise, energy_ledger* ledger,
+                             std::uint64_t seed, energy_ledger* ledger,
                              energy_costs costs)
     : config_(config),
       bias_rad_(bias_rad),
+      bias_error_rad_(static_bias_error(config, seed)),
       ledger_(ledger),
       costs_(costs) {
-  if (config_.bias_error_sigma_rad > 0.0) {
-    bias_error_rad_ = bias_noise.normal(0.0, config_.bias_error_sigma_rad);
-  }
   // Finite extinction ratio: transmission never falls below this floor.
   floor_transmission_ = db_to_ratio(-config_.extinction_ratio_db);
   field_loss_scale_ = field_loss_scale(config_.insertion_loss_db);
@@ -118,12 +127,12 @@ void mzm_modulator::encode_intensity(std::span<const double> x,
 
 // --------------------------------------------------------- phase_modulator
 
-phase_modulator::phase_modulator(modulator_config config, rng bias_noise,
+phase_modulator::phase_modulator(modulator_config config, std::uint64_t seed,
                                  energy_ledger* ledger, energy_costs costs)
-    : config_(config), ledger_(ledger), costs_(costs) {
-  if (config_.bias_error_sigma_rad > 0.0) {
-    phase_error_rad_ = bias_noise.normal(0.0, config_.bias_error_sigma_rad);
-  }
+    : config_(config),
+      phase_error_rad_(static_bias_error(config, seed)),
+      ledger_(ledger),
+      costs_(costs) {
   field_loss_scale_ = field_loss_scale(config_.insertion_loss_db);
 }
 

@@ -13,11 +13,11 @@
 // drift, which are the dominant static error sources in fabricated PICs.
 #pragma once
 
+#include <cstdint>
 #include <span>
 
 #include "photonics/energy.hpp"
 #include "photonics/optical.hpp"
-#include "photonics/rng.hpp"
 #include "photonics/units.hpp"
 
 namespace onfiber::phot {
@@ -28,6 +28,7 @@ struct modulator_config {
   double insertion_loss_db = 3.0; ///< on-chip insertion loss
   double extinction_ratio_db = 30.0;  ///< finite extinction (min transmission)
   double bias_error_sigma_rad = 0.0;  ///< static bias-point error, sampled once
+                                      ///< as draw 0 of key_of(seed, "bia")
   double max_drive_v = 8.0;       ///< driver clipping voltage
 };
 
@@ -41,7 +42,8 @@ class mzm_modulator {
  public:
   /// `bias_rad` sets the static operating point added to the drive phase:
   /// pi/2 = quadrature (linear-ish region), 0 = peak transmission.
-  mzm_modulator(modulator_config config, double bias_rad, rng bias_noise,
+  /// `seed` keys the static bias error (see modulator_config).
+  mzm_modulator(modulator_config config, double bias_rad, std::uint64_t seed,
                 energy_ledger* ledger = nullptr, energy_costs costs = {});
 
   /// Physical transfer: field out for field in at drive voltage v.
@@ -85,7 +87,7 @@ class mzm_modulator {
 /// Pure phase modulator: multiplies the field by exp(i * pi * v / V_pi).
 class phase_modulator {
  public:
-  phase_modulator(modulator_config config, rng bias_noise,
+  phase_modulator(modulator_config config, std::uint64_t seed,
                   energy_ledger* ledger = nullptr, energy_costs costs = {});
 
   /// Apply a drive voltage; phase shift = pi * v / V_pi (+ static error).

@@ -57,24 +57,7 @@ struct receiver_noise_config {
   bool enable_thermal = true;
 
   /// Sample the total additive current noise [A] for a photocurrent
-  /// `current_a`, drawing from `gen`.
-  [[nodiscard]] double sample_current_noise_a(double current_a,
-                                              rng& gen) const {
-    double variance = 0.0;
-    if (enable_shot) {
-      const double s = shot_noise_sigma_a(current_a, bandwidth_hz);
-      variance += s * s;
-    }
-    if (enable_thermal) {
-      const double t =
-          thermal_noise_sigma_a(load_ohm, temperature_k, bandwidth_hz);
-      variance += t * t;
-    }
-    if (variance <= 0.0) return 0.0;
-    return gen.normal(0.0, std::sqrt(variance));
-  }
-
-  /// Counter-stream variant: consumes exactly one draw index whether or
+  /// `current_a` from `stream`. Consumes exactly one draw index whether or
   /// not the variance is positive (zero-variance readouts skip the index
   /// instead of leaving it unconsumed). Stream position therefore stays
   /// a pure function of readouts taken — the invariant every batched /

@@ -11,10 +11,10 @@ namespace {
 constexpr std::uint64_t kDetectorTag = 0x706474ULL;  // "pdt"
 }  // namespace
 
-photodetector::photodetector(photodetector_config config, rng noise_stream,
+photodetector::photodetector(photodetector_config config, std::uint64_t seed,
                              energy_ledger* ledger, energy_costs costs)
     : config_(config),
-      noise_(counter_rng::key_of(noise_stream(), kDetectorTag)),
+      noise_(counter_rng::key_of(seed, kDetectorTag)),
       ledger_(ledger),
       costs_(costs) {}
 

@@ -27,7 +27,8 @@ struct photodetector_config {
 /// Square-law detector: photocurrent i = R * P + dark + noise.
 class photodetector {
  public:
-  photodetector(photodetector_config config, rng noise_stream,
+  /// `seed` keys the readout noise stream as key_of(seed, "pdt").
+  photodetector(photodetector_config config, std::uint64_t seed,
                 energy_ledger* ledger = nullptr, energy_costs costs = {});
 
   /// Detect a single field sample -> photocurrent [A].

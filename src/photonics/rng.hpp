@@ -1,9 +1,17 @@
 // rng.hpp — deterministic, seedable random number generation.
 //
-// Every stochastic component in the library (noise processes, traffic
-// generators, synthetic datasets) draws from an explicitly seeded
-// xoshiro256++ stream. The same seed produces bit-identical results on
-// every platform, which the test suite relies on.
+// Two generators, one job each. The same seed produces bit-identical
+// results on every platform, which the test suite relies on.
+//
+//   * Counter streams (`counter_rng`, `counter_stream`, `counter_normal`)
+//     serve every draw the simulation itself makes: device noise in the
+//     sample plane and the workload plane's arrivals. A device takes a
+//     u64 seed and keys each of its streams as key_of(seed, tag), so a
+//     noise draw is a pure function of (seed, tag, draw index) —
+//     seekable, vectorizable, and independent of thread or shard.
+//   * `rng` (xoshiro256++) is a sequential stream for synthesis outside
+//     the sample plane: datasets and synthetic weights, random
+//     topologies, flap jitter, and test inputs.
 #pragma once
 
 #include <array>
@@ -197,8 +205,7 @@ class rng {
   /// Standard normal deviate via the polar (Marsaglia) Box-Muller variant:
   /// one (log, sqrt, div) evaluation and no trigonometry produces two
   /// independent deviates; the second is cached as a spare so every other
-  /// call is a single load. Noise sampling is the hot path of every device
-  /// model, and this halves its transcendental cost twice over.
+  /// call is a single load.
   [[nodiscard]] double normal() {
     if (has_spare_) {
       has_spare_ = false;
@@ -214,34 +221,6 @@ class rng {
     spare_ = v * factor;
     has_spare_ = true;
     return u * factor;
-  }
-
-  /// Fill `out` with standard normal deviates, drawing exactly the same
-  /// sequence as repeated `normal()` calls (the batch device kernels rely
-  /// on this equivalence to stay bit-identical with the scalar paths).
-  /// The bulk of the fill runs pairwise — each polar iteration stores both
-  /// deviates of the pair directly, skipping the spare-cache store/branch
-  /// that repeated normal() pays — which is observably identical because
-  /// normal() hands out exactly those pairs in the same order.
-  void fill_normal(std::span<double> out) {
-    std::size_t i = 0;
-    const std::size_t n = out.size();
-    if (i < n && has_spare_) {
-      has_spare_ = false;
-      out[i++] = spare_;
-    }
-    for (; i + 1 < n; i += 2) {
-      double u, v, s;
-      do {
-        u = 2.0 * uniform() - 1.0;
-        v = 2.0 * uniform() - 1.0;
-        s = u * u + v * v;
-      } while (s >= 1.0 || s == 0.0);
-      const double factor = std::sqrt(-2.0 * std::log(s) / s);
-      out[i] = u * factor;
-      out[i + 1] = v * factor;
-    }
-    if (i < n) out[i] = normal();  // odd tail: leaves the spare cached
   }
 
   /// Normal deviate with the given mean and standard deviation.
@@ -273,10 +252,6 @@ class rng {
   [[nodiscard]] double exponential(double rate) {
     return -std::log(1.0 - uniform()) / rate;
   }
-
-  /// Fork a child stream that is statistically independent of this one.
-  /// Used to give each device its own stream from one experiment seed.
-  [[nodiscard]] rng fork() { return rng{(*this)()}; }
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {

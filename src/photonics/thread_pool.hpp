@@ -5,8 +5,8 @@
 // pool starts workers lazily, keeps them parked on a condition variable
 // between batches, and hands each batch out through the same dynamic
 // row-claim counter as before — so the determinism contract of
-// kernels.hpp (per-row RNG streams forked in row order, results folded in
-// row order) is untouched: the pool only changes *which thread* runs a
+// kernels.hpp (per-row seeds keyed on (call, row), results folded in row
+// order) is untouched: the pool only changes *which thread* runs a
 // row, which the contract already declares irrelevant.
 #pragma once
 

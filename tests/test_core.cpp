@@ -58,7 +58,7 @@ TEST(Transponder, SurvivesModerateFiberLoss) {
   auto wave = t.transmit(bytes);
   phot::fiber_config fc;
   fc.length_km = 40.0;  // 8 dB loss
-  phot::fiber_span span(fc, phot::rng{6});
+  phot::fiber_span span(fc, 6);
   const auto attenuated = span.propagate(wave);
   // PAM-4 slicer references full power; with 8 dB loss uncorrected the
   // link breaks — commodity links run amplified. Verify the amplified
@@ -66,7 +66,7 @@ TEST(Transponder, SurvivesModerateFiberLoss) {
   phot::fiber_config amplified = fc;
   amplified.amplified = true;
   amplified.symbol_rate_hz = t.config().symbol_rate_hz;
-  phot::fiber_span good_span(amplified, phot::rng{7});
+  phot::fiber_span good_span(amplified, 7);
   const receive_report r = t.receive(good_span.propagate(wave), bytes);
   EXPECT_EQ(r.bytes, bytes);
   (void)attenuated;

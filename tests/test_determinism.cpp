@@ -304,6 +304,22 @@ TEST(PoolDeterminism, GemmBatchOneBitIdenticalToGemv) {
   }
 }
 
+TEST(PoolDeterminism, SuccessiveCallsDrawFreshNoise) {
+  // Row seeds are keyed on (engine seed, call, row): two engines on one
+  // seed agree call for call, while successive calls on one engine draw
+  // fresh noise rather than replaying the first call's.
+  const phot::matrix w = test_matrix(16, 32, 23);
+  const std::vector<double> x(32, 0.5);
+  phot::vector_matrix_engine a({}, 42), b({}, 42);
+  const phot::gemv_result a0 = a.gemv_signed(w, x);
+  const phot::gemv_result a1 = a.gemv_signed(w, x);
+  const phot::gemv_result b0 = b.gemv_signed(w, x);
+  const phot::gemv_result b1 = b.gemv_signed(w, x);
+  EXPECT_TRUE(bits_equal(a0.values, b0.values));
+  EXPECT_TRUE(bits_equal(a1.values, b1.values));
+  EXPECT_FALSE(bits_equal(a0.values, a1.values));
+}
+
 TEST(PoolDeterminism, WarmPoolSpawnsNoThreadsPerCall) {
   // Acceptance check for the persistent pool: after warm-up, repeated
   // GEMV dispatches must not construct a single new thread.
@@ -341,8 +357,8 @@ TEST(TwoPassKernels, DacBatchMatchesScalarExactly) {
   in.push_back(0.0);
 
   phot::converter_config cfg;
-  phot::dac batch_dac(cfg, phot::rng{55});
-  phot::dac scalar_dac(cfg, phot::rng{55});
+  phot::dac batch_dac(cfg, 55);
+  phot::dac scalar_dac(cfg, 55);
   std::vector<double> batch_out(in.size());
   batch_dac.convert(in, batch_out);
   std::vector<double> scalar_out;
@@ -362,8 +378,8 @@ TEST(TwoPassKernels, AdcBatchMatchesScalarExactly) {
   for (int i = 0; i < 130; ++i) in.push_back(gen.uniform() * 1.2 - 0.1);
 
   phot::converter_config cfg;
-  phot::adc batch_adc(cfg, phot::rng{66});
-  phot::adc scalar_adc(cfg, phot::rng{66});
+  phot::adc batch_adc(cfg, 66);
+  phot::adc scalar_adc(cfg, 66);
   std::vector<double> batch_out(in.size());
   batch_adc.convert(in, batch_out);
   std::vector<double> scalar_out;
@@ -375,8 +391,8 @@ TEST(TwoPassKernels, NoiselessConverterBatchMatchesScalar) {
   phot::converter_config cfg;
   cfg.enob_penalty = 0.0;  // sigma == 0: quantize-only fast path
   std::vector<double> in = {0.0, 0.1, 0.5, 0.999, 1.0, -0.5, 1.5};
-  phot::dac batch_dac(cfg, phot::rng{9});
-  phot::dac scalar_dac(cfg, phot::rng{9});
+  phot::dac batch_dac(cfg, 9);
+  phot::dac scalar_dac(cfg, 9);
   std::vector<double> batch_out(in.size());
   batch_dac.convert(in, batch_out);
   std::vector<double> scalar_out;
@@ -386,13 +402,13 @@ TEST(TwoPassKernels, NoiselessConverterBatchMatchesScalar) {
 
 TEST(TwoPassKernels, DetectorBatchMatchesScalarExactly) {
   phot::laser_config lcfg;
-  phot::laser source(lcfg, phot::rng{2});
+  phot::laser source(lcfg, 2);
   phot::waveform wave;
   source.emit(96, wave);
 
   phot::photodetector_config dcfg;
-  phot::photodetector batch_det(dcfg, phot::rng{77});
-  phot::photodetector scalar_det(dcfg, phot::rng{77});
+  phot::photodetector batch_det(dcfg, 77);
+  phot::photodetector scalar_det(dcfg, 77);
   const std::vector<double> batch_out = batch_det.detect(wave);
   std::vector<double> scalar_out;
   for (const phot::field& f : wave) scalar_out.push_back(scalar_det.detect(f));

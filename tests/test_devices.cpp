@@ -23,7 +23,7 @@ constexpr double pi = std::numbers::pi;
 TEST(Laser, MeanPowerMatchesConfig) {
   laser_config cfg;
   cfg.power_mw = 10.0;
-  laser l(cfg, rng{1});
+  laser l(cfg, 1);
   double sum = 0.0;
   constexpr int n = 20000;
   for (int i = 0; i < n; ++i) sum += power_mw(l.emit_one());
@@ -34,7 +34,7 @@ TEST(Laser, NoiselessLaserIsConstant) {
   laser_config cfg;
   cfg.enable_rin = false;
   cfg.enable_phase_noise = false;
-  laser l(cfg, rng{2});
+  laser l(cfg, 2);
   const field e0 = l.emit_one();
   for (int i = 0; i < 100; ++i) {
     const field e = l.emit_one();
@@ -49,7 +49,7 @@ TEST(Laser, RinVarianceMatchesSpec) {
   cfg.enable_phase_noise = false;
   cfg.rin_db_hz = -150.0;
   cfg.symbol_rate_hz = 10e9;
-  laser l(cfg, rng{3});
+  laser l(cfg, 3);
   double sq = 0.0;
   constexpr int n = 100000;
   for (int i = 0; i < n; ++i) {
@@ -65,7 +65,7 @@ TEST(Laser, PhaseWalksWithLinewidth) {
   cfg.enable_rin = false;
   cfg.linewidth_hz = 1e6;
   cfg.symbol_rate_hz = 10e9;
-  laser l(cfg, rng{4});
+  laser l(cfg, 4);
   // After n steps the phase variance should be ~ n * 2 pi dv / Rs.
   constexpr int n = 10000;
   double phase_end = 0.0;
@@ -76,14 +76,14 @@ TEST(Laser, PhaseWalksWithLinewidth) {
 }
 
 TEST(Laser, EmitBatch) {
-  laser l({}, rng{5});
+  laser l({}, 5);
   const waveform w = l.emit(64);
   EXPECT_EQ(w.size(), 64u);
 }
 
 TEST(Laser, ChargesLedger) {
   energy_ledger ledger;
-  laser l({}, rng{6}, &ledger);
+  laser l({}, 6, &ledger);
   (void)l.emit(10);
   EXPECT_EQ(ledger.ops("laser"), 10u);
 }
@@ -94,7 +94,7 @@ TEST(Mzm, FullAndNullTransmission) {
   modulator_config cfg;
   cfg.insertion_loss_db = 0.0;
   cfg.extinction_ratio_db = 60.0;
-  mzm_modulator m(cfg, /*bias=*/0.0, rng{7});
+  mzm_modulator m(cfg, /*bias=*/0.0, 7);
   // Bias 0, drive 0: full transmission.
   EXPECT_NEAR(m.intensity_transfer(0.0), 1.0, 1e-9);
   // Drive V_pi: null (bounded by extinction ratio).
@@ -104,7 +104,7 @@ TEST(Mzm, FullAndNullTransmission) {
 TEST(Mzm, RaisedCosineShape) {
   modulator_config cfg;
   cfg.insertion_loss_db = 0.0;
-  mzm_modulator m(cfg, 0.0, rng{8});
+  mzm_modulator m(cfg, 0.0, 8);
   // cos^2(pi/2 * v/Vpi) at v = Vpi/2 is 0.5.
   EXPECT_NEAR(m.intensity_transfer(cfg.v_pi / 2.0), 0.5, 1e-9);
 }
@@ -112,14 +112,14 @@ TEST(Mzm, RaisedCosineShape) {
 TEST(Mzm, InsertionLossApplied) {
   modulator_config cfg;
   cfg.insertion_loss_db = 3.0;
-  mzm_modulator m(cfg, 0.0, rng{9});
+  mzm_modulator m(cfg, 0.0, 9);
   EXPECT_NEAR(m.intensity_transfer(0.0), db_to_ratio(-3.0), 1e-9);
 }
 
 TEST(Mzm, EncodeUnitIsLinearInIntensity) {
   modulator_config cfg;
   cfg.insertion_loss_db = 0.0;
-  mzm_modulator m(cfg, 0.0, rng{10});
+  mzm_modulator m(cfg, 0.0, 10);
   const field carrier = make_field(10.0);
   for (const double x : {0.0, 0.1, 0.25, 0.5, 0.75, 1.0}) {
     const field out = m.encode_unit(carrier, x);
@@ -128,7 +128,7 @@ TEST(Mzm, EncodeUnitIsLinearInIntensity) {
 }
 
 TEST(Mzm, EncodeUnitClampsOutOfRange) {
-  mzm_modulator m({}, 0.0, rng{11});
+  mzm_modulator m({}, 0.0, 11);
   const field carrier = make_field(1.0);
   const double low = power_mw(m.encode_unit(carrier, -0.5));
   const double high = power_mw(m.encode_unit(carrier, 1.5));
@@ -138,7 +138,7 @@ TEST(Mzm, EncodeUnitClampsOutOfRange) {
 
 TEST(Mzm, DriveClipping) {
   modulator_config cfg;
-  mzm_modulator m(cfg, 0.0, rng{12});
+  mzm_modulator m(cfg, 0.0, 12);
   // Beyond max_drive_v the transfer stops changing.
   EXPECT_DOUBLE_EQ(m.intensity_transfer(cfg.max_drive_v),
                    m.intensity_transfer(cfg.max_drive_v + 5.0));
@@ -147,8 +147,8 @@ TEST(Mzm, DriveClipping) {
 TEST(Mzm, BiasErrorIsDeterministicPerSeed) {
   modulator_config cfg;
   cfg.bias_error_sigma_rad = 0.05;
-  mzm_modulator m1(cfg, 0.0, rng{13});
-  mzm_modulator m2(cfg, 0.0, rng{13});
+  mzm_modulator m1(cfg, 0.0, 13);
+  mzm_modulator m2(cfg, 0.0, 13);
   const field c = make_field(1.0);
   EXPECT_DOUBLE_EQ(power_mw(m1.encode_unit(c, 0.5)),
                    power_mw(m2.encode_unit(c, 0.5)));
@@ -157,7 +157,7 @@ TEST(Mzm, BiasErrorIsDeterministicPerSeed) {
 TEST(PhaseMod, EncodesPhase) {
   modulator_config cfg;
   cfg.insertion_loss_db = 0.0;
-  phase_modulator m(cfg, rng{14});
+  phase_modulator m(cfg, 14);
   const field in = make_field(1.0, 0.0);
   const field out = m.encode_phase(in, pi / 3.0);
   EXPECT_NEAR(std::arg(out), pi / 3.0, 1e-9);
@@ -167,7 +167,7 @@ TEST(PhaseMod, EncodesPhase) {
 TEST(PhaseMod, VoltageToPhase) {
   modulator_config cfg;
   cfg.insertion_loss_db = 0.0;
-  phase_modulator m(cfg, rng{15});
+  phase_modulator m(cfg, 15);
   const field out = m.modulate(make_field(1.0), cfg.v_pi);
   EXPECT_NEAR(std::abs(std::arg(out)), pi, 1e-9);
 }
@@ -178,7 +178,7 @@ TEST(Photodetector, ResponsivityAndDark) {
   photodetector_config cfg;
   cfg.noise.enable_shot = false;
   cfg.noise.enable_thermal = false;
-  photodetector d(cfg, rng{16});
+  photodetector d(cfg, 16);
   const double i = d.detect(make_field(1.0));  // 1 mW
   EXPECT_NEAR(i, cfg.responsivity_a_w * 1e-3 + cfg.dark_current_a, 1e-12);
 }
@@ -187,7 +187,7 @@ TEST(Photodetector, PhaseInsensitive) {
   photodetector_config cfg;
   cfg.noise.enable_shot = false;
   cfg.noise.enable_thermal = false;
-  photodetector d(cfg, rng{17});
+  photodetector d(cfg, 17);
   EXPECT_DOUBLE_EQ(d.detect(make_field(2.0, 0.0)),
                    d.detect(make_field(2.0, 1.234)));
 }
@@ -197,14 +197,14 @@ TEST(Photodetector, Saturates) {
   cfg.saturation_current_a = 1e-3;
   cfg.noise.enable_shot = false;
   cfg.noise.enable_thermal = false;
-  photodetector d(cfg, rng{18});
+  photodetector d(cfg, 18);
   EXPECT_DOUBLE_EQ(d.detect(make_field(1e4)), 1e-3);
 }
 
 TEST(Photodetector, IntegrationReducesNoise) {
   photodetector_config cfg;
-  photodetector d1(cfg, rng{19});
-  photodetector d2(cfg, rng{20});
+  photodetector d1(cfg, 19);
+  photodetector d2(cfg, 20);
   // Repeated single-sample detection vs 64-sample integration of the same
   // power: integration should show smaller spread.
   const field e = make_field(1.0);
@@ -222,7 +222,7 @@ TEST(Photodetector, IntegrationReducesNoise) {
 }
 
 TEST(Photodetector, IntegrateEmptyIsZero) {
-  photodetector d({}, rng{21});
+  photodetector d({}, 21);
   EXPECT_DOUBLE_EQ(d.integrate(waveform{}), 0.0);
 }
 
@@ -267,7 +267,7 @@ TEST_P(ConverterBitsTest, DacRmsErrorTracksEnob) {
   converter_config cfg;
   cfg.bits = bits;
   cfg.enob_penalty = 0.5;
-  dac d(cfg, rng{static_cast<std::uint64_t>(bits)});
+  dac d(cfg, static_cast<std::uint64_t>(bits));
   rng g(99);
   double sq = 0.0;
   constexpr int n = 20000;
@@ -289,7 +289,7 @@ INSTANTIATE_TEST_SUITE_P(BitSweep, ConverterBitsTest,
 TEST(Converter, AdcOutputOnGrid) {
   converter_config cfg;
   cfg.enob_penalty = 0.0;
-  adc a(cfg, rng{24});
+  adc a(cfg, 24);
   const double levels = 255.0;
   for (int i = 0; i < 100; ++i) {
     const double y = a.convert(static_cast<double>(i) / 100.0);
@@ -301,8 +301,8 @@ TEST(Converter, AdcOutputOnGrid) {
 TEST(Converter, ChargesLedger) {
   energy_ledger ledger;
   energy_costs costs;
-  dac d({}, rng{25}, &ledger, costs);
-  adc a({}, rng{26}, &ledger, costs);
+  dac d({}, 25, &ledger, costs);
+  adc a({}, 26, &ledger, costs);
   (void)d.convert(0.5);
   (void)a.convert(0.5);
   EXPECT_EQ(ledger.ops("dac"), 1u);
@@ -356,7 +356,7 @@ TEST(Fiber, LossMatchesLengthTimesAttenuation) {
   fiber_config cfg;
   cfg.length_km = 50.0;
   cfg.attenuation_db_km = 0.2;
-  fiber_span span(cfg, rng{27});
+  fiber_span span(cfg, 27);
   EXPECT_NEAR(span.loss_db(), 10.0, 1e-9);
   const waveform in(8, make_field(10.0));
   const waveform out = span.propagate(in);
@@ -366,7 +366,7 @@ TEST(Fiber, LossMatchesLengthTimesAttenuation) {
 TEST(Fiber, DelayMatchesGroupIndex) {
   fiber_config cfg;
   cfg.length_km = 100.0;
-  fiber_span span(cfg, rng{28});
+  fiber_span span(cfg, 28);
   EXPECT_NEAR(span.delay_s(), fiber_delay_s(100.0), 1e-15);
 }
 
@@ -374,7 +374,7 @@ TEST(Fiber, AmplifiedSpanRestoresPowerWithAse) {
   fiber_config cfg;
   cfg.length_km = 80.0;
   cfg.amplified = true;
-  fiber_span span(cfg, rng{29});
+  fiber_span span(cfg, 29);
   const waveform in(5000, make_field(1.0));
   const waveform out = span.propagate(in);
   double mean = 0.0;

@@ -7,7 +7,7 @@
 #include "core/runtime.hpp"
 #include "core/transponder.hpp"
 #include "digital/dnn.hpp"
-#include "network/traffic.hpp"
+#include "network/workload.hpp"
 #include "photonics/fiber.hpp"
 
 namespace onfiber {
@@ -186,7 +186,7 @@ TEST(Integration, PhysicalLayerCarriesComputePacket) {
   fc.length_km = 80.0;
   fc.amplified = true;
   fc.symbol_rate_hz = tx.config().symbol_rate_hz;
-  phot::fiber_span span(fc, phot::rng{402});
+  phot::fiber_span span(fc, 402);
   const core::receive_report rx = tx.receive(span.propagate(wave), wire_in);
   ASSERT_EQ(rx.bytes, wire_in);  // link is clean
   EXPECT_EQ(rx.symbol_errors, 0u);
@@ -249,22 +249,28 @@ TEST(Integration, ComputeAndPlainTrafficCoexist) {
   const net::ipv4 src = rt.fabric().topo().node_at(0).address;
   const net::ipv4 dst = rt.fabric().topo().node_at(3).address;
 
-  // Background: 100 plain packets.
-  net::traffic_config tc;
-  tc.packet_rate_pps = 1e6;
-  net::traffic_generator gen(tc, src, dst, 602);
-  for (auto& a : gen.generate_count(100)) {
-    sim.schedule(a.time_s, [&rt, pkt = a.pkt]() mutable {
-      rt.submit(std::move(pkt), 0);
-    });
-  }
+  // Background: ~100 plain single-packet flows (Poisson, 1e6/s for 100 us).
+  net::flow_class plain;
+  plain.flow_rate_fps = 1e6;
+  plain.mice_fraction = 1.0;
+  plain.mice = {1.3, 64.0, 1400.0};
+  plain.mtu_bytes = 1400;
+  net::workload_config wc;
+  wc.tenants = {plain};
+  wc.seed = 602;
+  net::workload_plane plane(rt.fabric(), wc);
+  plane.add_injector({0, dst, 0, {}});
+  plane.start(100e-6);
   // Foreground: 5 compute packets.
   const std::vector<double> x(8, 0.5);
   for (int i = 0; i < 5; ++i) {
     rt.submit(core::make_gemv_request(src, dst, x, 1), 0);
   }
   sim.run();
-  EXPECT_EQ(rt.deliveries().size(), 105u);
+  const std::uint64_t background = plane.stats().packets;
+  EXPECT_GT(background, 50u);
+  EXPECT_EQ(plane.stats().flows, background);  // one packet per flow
+  EXPECT_EQ(rt.deliveries().size(), background + 5);
   EXPECT_EQ(rt.stats().computed, 5u);
   EXPECT_EQ(rt.fabric().dropped(), 0u);
 }

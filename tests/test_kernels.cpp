@@ -33,15 +33,6 @@ namespace {
 
 // ------------------------------------------------------------ RNG batching
 
-TEST(KernelsRng, FillNormalMatchesRepeatedNormal) {
-  phot::rng a(123), b(123);
-  std::vector<double> batch(257);
-  a.fill_normal(batch);
-  for (double v : batch) {
-    EXPECT_EQ(v, b.normal());
-  }
-}
-
 TEST(KernelsRng, SpareDeviateKeepsPairsConsistent) {
   // Box-Muller produces deviates in pairs; the spare must survive
   // interleaved uniform() draws untouched (it is cached, not recomputed).
@@ -58,8 +49,8 @@ TEST(KernelsRng, SpareDeviateKeepsPairsConsistent) {
 // --------------------------------------------------------- device batching
 
 TEST(KernelsDevices, LaserBatchEmitMatchesScalar) {
-  phot::laser batch_laser({}, phot::rng{77});
-  phot::laser scalar_laser({}, phot::rng{77});
+  phot::laser batch_laser({}, 77);
+  phot::laser scalar_laser({}, 77);
   phot::waveform batch;
   batch_laser.emit(64, batch);
   ASSERT_EQ(batch.size(), 64u);
@@ -71,8 +62,8 @@ TEST(KernelsDevices, LaserBatchEmitMatchesScalar) {
 TEST(KernelsDevices, LaserEmitPowersMatchesScalarPowers) {
   // emit_powers returns the power directly; the scalar path round-trips it
   // through sqrt/polar/norm, so agreement is to rounding error, not bits.
-  phot::laser power_laser({}, phot::rng{78});
-  phot::laser scalar_laser({}, phot::rng{78});
+  phot::laser power_laser({}, 78);
+  phot::laser scalar_laser({}, 78);
   std::vector<double> powers(48);
   power_laser.emit_powers(powers);
   for (double p : powers) {
@@ -81,8 +72,8 @@ TEST(KernelsDevices, LaserEmitPowersMatchesScalarPowers) {
 }
 
 TEST(KernelsDevices, DacBatchConvertMatchesScalar) {
-  phot::dac batch_dac({}, phot::rng{11});
-  phot::dac scalar_dac({}, phot::rng{11});
+  phot::dac batch_dac({}, 11);
+  phot::dac scalar_dac({}, 11);
   std::vector<double> in(97), out(97);
   phot::rng gen(5);
   for (double& v : in) v = gen.uniform();
@@ -93,8 +84,8 @@ TEST(KernelsDevices, DacBatchConvertMatchesScalar) {
 }
 
 TEST(KernelsDevices, AdcBatchConvertMatchesScalar) {
-  phot::adc batch_adc({}, phot::rng{12});
-  phot::adc scalar_adc({}, phot::rng{12});
+  phot::adc batch_adc({}, 12);
+  phot::adc scalar_adc({}, 12);
   std::vector<double> in(97), out(97);
   phot::rng gen(6);
   for (double& v : in) v = gen.uniform();
@@ -107,9 +98,9 @@ TEST(KernelsDevices, AdcBatchConvertMatchesScalar) {
 TEST(KernelsDevices, MzmBatchEncodeMatchesScalar) {
   phot::modulator_config cfg;
   cfg.bias_error_sigma_rad = 0.01;  // exercise the imperfect-bias path
-  phot::mzm_modulator batch_mod(cfg, 0.0, phot::rng{21});
-  phot::mzm_modulator scalar_mod(cfg, 0.0, phot::rng{21});
-  phot::laser source({}, phot::rng{22});
+  phot::mzm_modulator batch_mod(cfg, 0.0, 21);
+  phot::mzm_modulator scalar_mod(cfg, 0.0, 21);
+  phot::laser source({}, 22);
   phot::waveform carrier = source.emit(33);
   phot::waveform batch = carrier;
   std::vector<double> x(carrier.size());

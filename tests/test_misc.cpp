@@ -17,7 +17,7 @@ TEST(Misc, PhotodetectorSpanDetect) {
   phot::photodetector_config cfg;
   cfg.noise.enable_shot = false;
   cfg.noise.enable_thermal = false;
-  phot::photodetector d(cfg, phot::rng{1});
+  phot::photodetector d(cfg, 1);
   const phot::waveform wave{phot::make_field(1.0), phot::make_field(2.0),
                             phot::make_field(0.0)};
   const auto currents = d.detect(wave);
@@ -31,8 +31,8 @@ TEST(Misc, LaserPhaseContinuityAcrossCalls) {
   // continue the stream rather than restarting it.
   phot::laser_config cfg;
   cfg.enable_rin = false;
-  phot::laser l1(cfg, phot::rng{7});
-  phot::laser l2(cfg, phot::rng{7});
+  phot::laser l1(cfg, 7);
+  phot::laser l2(cfg, 7);
   const auto batch = l1.emit(4);
   phot::waveform singles;
   for (int i = 0; i < 4; ++i) singles.push_back(l2.emit_one());

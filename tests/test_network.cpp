@@ -2,6 +2,7 @@
 // simulator, topology, fabric, traffic, stats.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "network/address.hpp"
@@ -11,6 +12,7 @@
 #include "network/stats.hpp"
 #include "network/topology.hpp"
 #include "network/traffic.hpp"
+#include "network/workload.hpp"
 #include "photonics/rng.hpp"
 
 namespace onfiber::net {
@@ -772,43 +774,74 @@ TEST(Fabric, DeliveredPayloadBuffersReturnToPool) {
 
 // ----------------------------------------------------------------- traffic
 
+/// A Poisson packet source as bench_sec5_bandwidth builds one: a
+/// one-tenant workload plane whose flows are single packets of
+/// [lo, hi] payload bytes arriving at `rate` per second. Returns what
+/// the plane emitted before `horizon_s`.
+std::vector<flow_packet_view> poisson_packets(double rate, double lo,
+                                              double hi, std::uint64_t seed,
+                                              double horizon_s) {
+  simulator sim;
+  wan_fabric fabric(sim, make_linear_topology(2));
+  fabric.install_shortest_path_routes();
+  flow_class single_packet;
+  single_packet.flow_rate_fps = rate;
+  single_packet.mice_fraction = 1.0;
+  single_packet.mice = {1.3, lo, hi};
+  single_packet.mtu_bytes = static_cast<std::size_t>(hi);
+  workload_config cfg;
+  cfg.tenants = {single_packet};
+  cfg.seed = seed;
+  workload_plane plane(fabric, cfg);
+  std::vector<flow_packet_view> emitted;
+  plane.add_injector({0, fabric.topo().node_at(1).address, 0,
+                      [&emitted](const flow_packet_view& v) {
+                        emitted.push_back(v);
+                        packet pkt;
+                        pkt.src = v.src;
+                        pkt.dst = v.dst;
+                        pkt.payload.resize(v.payload_bytes);
+                        return pkt;
+                      }});
+  plane.start(horizon_s);
+  sim.run();
+  EXPECT_EQ(fabric.delivered(), emitted.size());
+  return emitted;
+}
+
 TEST(Traffic, DeterministicPerSeed) {
-  traffic_config cfg;
-  traffic_generator g1(cfg, ipv4(10, 0, 0, 1), ipv4(10, 1, 0, 1), 5);
-  traffic_generator g2(cfg, ipv4(10, 0, 0, 1), ipv4(10, 1, 0, 1), 5);
-  const auto a = g1.generate_count(50);
-  const auto b = g2.generate_count(50);
+  const auto a = poisson_packets(1e5, 64.0, 1400.0, 5, 5e-4);
+  const auto b = poisson_packets(1e5, 64.0, 1400.0, 5, 5e-4);
+  ASSERT_GT(a.size(), 10u);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a[i].time_s, b[i].time_s);
-    EXPECT_EQ(a[i].pkt.payload, b[i].pkt.payload);
+    EXPECT_EQ(a[i].time_s, b[i].time_s);  // exact double
+    EXPECT_EQ(a[i].payload_bytes, b[i].payload_bytes);
+    EXPECT_EQ(a[i].flow_hash, b[i].flow_hash);
+    EXPECT_EQ(a[i].packet_id, b[i].packet_id);
   }
 }
 
 TEST(Traffic, RateApproximatelyRespected) {
-  traffic_config cfg;
-  cfg.packet_rate_pps = 1e4;
-  traffic_generator g(cfg, ipv4(1, 0, 0, 1), ipv4(2, 0, 0, 1), 7);
-  const auto arrivals = g.generate(1.0);
-  EXPECT_NEAR(static_cast<double>(arrivals.size()), 1e4, 400.0);
+  const auto packets = poisson_packets(1e4, 64.0, 1400.0, 7, 1.0);
+  EXPECT_NEAR(static_cast<double>(packets.size()), 1e4, 400.0);
 }
 
 TEST(Traffic, PayloadBoundsRespected) {
-  traffic_config cfg;
-  cfg.min_payload_bytes = 100;
-  cfg.max_payload_bytes = 200;
-  traffic_generator g(cfg, ipv4(1, 0, 0, 1), ipv4(2, 0, 0, 1), 9);
-  for (const auto& a : g.generate_count(200)) {
-    EXPECT_GE(a.pkt.payload.size(), 100u);
-    EXPECT_LE(a.pkt.payload.size(), 200u);
+  const auto packets = poisson_packets(1e5, 100.0, 200.0, 9, 2e-3);
+  ASSERT_GT(packets.size(), 100u);
+  for (const flow_packet_view& v : packets) {
+    EXPECT_EQ(v.packet_count, 1u);  // every flow is one packet
+    EXPECT_GE(v.payload_bytes, 100u);
+    EXPECT_LE(v.payload_bytes, 200u);
   }
 }
 
 TEST(Traffic, RejectsBadConfig) {
-  traffic_config cfg;
-  cfg.packet_rate_pps = 0.0;
-  EXPECT_THROW(traffic_generator(cfg, ipv4(1, 0, 0, 1), ipv4(2, 0, 0, 1), 1),
+  EXPECT_THROW((void)poisson_packets(0.0, 64.0, 1400.0, 1, 1e-3),
                std::invalid_argument);
+  EXPECT_THROW((void)poisson_packets(1e4, 200.0, 100.0, 1, 1e-3),
+               std::invalid_argument);  // min > max payload
 }
 
 TEST(Traffic, PlantSignatureBounds) {
@@ -818,6 +851,8 @@ TEST(Traffic, PlantSignatureBounds) {
   EXPECT_EQ(payload[12], 1);
   EXPECT_EQ(payload[15], 4);
   EXPECT_THROW(plant_signature(payload, sig, 13), std::invalid_argument);
+  // offset + size wraps to a small number here; the check must not.
+  EXPECT_THROW(plant_signature(payload, sig, SIZE_MAX), std::invalid_argument);
 }
 
 // ------------------------------------------------------------------- stats
@@ -881,10 +916,7 @@ TEST(Stats, SummaryStddev) {
 }
 
 TEST(Traffic, EmptyHorizonYieldsNothing) {
-  traffic_config cfg;
-  cfg.packet_rate_pps = 1.0;  // ~1 packet/s
-  traffic_generator g(cfg, ipv4(1, 0, 0, 1), ipv4(2, 0, 0, 1), 3);
-  EXPECT_TRUE(g.generate(1e-9).empty());
+  EXPECT_TRUE(poisson_packets(1.0, 64.0, 1400.0, 3, 1e-9).empty());
 }
 
 TEST(Fabric, SendInvalidIngressThrows) {

@@ -55,15 +55,16 @@ TEST(Noise, ReceiverConfigSamplesZeroWhenDisabled) {
   receiver_noise_config cfg;
   cfg.enable_shot = false;
   cfg.enable_thermal = false;
-  rng g(1);
+  counter_stream g(counter_rng::key_of(1));
   for (int i = 0; i < 10; ++i) {
     EXPECT_DOUBLE_EQ(cfg.sample_current_noise_a(1e-3, g), 0.0);
   }
+  EXPECT_EQ(g.cursor(), 10u);  // a silent readout still consumes its index
 }
 
 TEST(Noise, ReceiverNoiseVarianceMatchesSum) {
   receiver_noise_config cfg;
-  rng g(2);
+  counter_stream g(counter_rng::key_of(2));
   const double i_sig = 1e-3;
   double sq = 0.0;
   constexpr int n = 200000;

@@ -78,7 +78,7 @@ TEST(OpticalFrame, SurvivesAmplifiedSpan) {
   fc.length_km = 80.0;
   fc.amplified = true;
   fc.symbol_rate_hz = f.tx.config().symbol_rate_hz;
-  phot::fiber_span span(fc, phot::rng{9});
+  phot::fiber_span span(fc, 9);
   frame.preamble = span.propagate(frame.preamble);
   frame.body = span.propagate(frame.body);
   const auto report = receive_frame(frame, f.rx, f.engine, pkt.payload);

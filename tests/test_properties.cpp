@@ -277,8 +277,8 @@ TEST_P(FiberChainSweep, AmplifiedSpansStayClean) {
     fc.length_km = 80.0;
     fc.amplified = true;
     fc.symbol_rate_hz = t.config().symbol_rate_hz;
-    phot::fiber_span span(fc, phot::rng{700 + static_cast<std::uint64_t>(
-                                                  spans * 10 + s)});
+    phot::fiber_span span(fc,
+                          700 + static_cast<std::uint64_t>(spans * 10 + s));
     wave = span.propagate(wave);
   }
   const auto r = t.receive(wave, bytes);

@@ -210,16 +210,25 @@ TEST(SimdDispatch, GemmBitIdenticalAcrossLevelsThreadsAndBatch) {
   const gemm_result ref_optical =
       ref_engine.gemm_optical(w, wave_p, wave_n, ref_mw);
 
+  // Serial row loop for the signed body, the engine's first call
+  // (call = 0): one unit per row, every sample in order.
+  for (std::size_t r = 0; r < rows; ++r) {
+    dot_product_unit unit({}, counter_rng::key_of(555 ^ 0x726f7773ULL, 0, r));
+    for (std::size_t s = 0; s < batch; ++s) {
+      const auto x = std::span<const double>(xs).subspan(s * cols, cols);
+      EXPECT_EQ(ref.values[s * rows + r], unit.dot_signed(w.row(r), x).value)
+          << "row " << r << " sample " << s;
+    }
+  }
+
   // Serial row loop for the optical body: one unit per row on the row's
-  // forked seed (the engine's row-seed stream is rng(seed ^ "rows"); the
-  // optical call is the engine's second, so its seeds follow the first
-  // call's), every sample in order. The cell split must seek each
-  // cell's unit to exactly these draws.
+  // key, key_of(seed ^ "rows", call, row) — the optical call is the
+  // engine's second, so call = 1 — every sample in order. The cell split
+  // must seek each cell's unit to exactly these draws.
   {
-    rng row_seeds(555 ^ 0x726f7773ULL);
-    for (std::size_t r = 0; r < rows; ++r) (void)row_seeds();
     for (std::size_t r = 0; r < rows; ++r) {
-      dot_product_unit unit({}, row_seeds());
+      dot_product_unit unit({},
+                            counter_rng::key_of(555 ^ 0x726f7773ULL, 1, r));
       std::vector<double> wp, wn;
       split_rails(w.row(r), wp, wn);
       const auto dot = [&](const waveform& a, const std::vector<double>& b) {
@@ -253,7 +262,7 @@ TEST(SimdDispatch, GemmBitIdenticalAcrossLevelsThreadsAndBatch) {
   }
 
   // Batch decomposition: sample s of the batch equals a fresh engine's
-  // GEMV on that sample alone (row seeds fork identically), at the
+  // GEMV on that sample alone (row keys match call for call), at the
   // native level.
   simd::refresh();
   vector_matrix_engine single({}, 555);

@@ -1,9 +1,8 @@
-// Open-loop traffic plane + runtime admission control (ISSUE 10).
+// Open-loop traffic plane + runtime admission control.
 //
 // Three contracts under test:
-//   * the traffic_generator is a stream: next() is the primitive,
-//     generate()/generate_count() are prefixes of the SAME Poisson
-//     process (gap-first — historically generate_count started at t=0);
+//   * the workload plane validates its config: a bad or non-finite
+//     field is rejected at construction, never stalls start();
 //   * the workload plane's arrival streams and the resulting delivery
 //     traces are bit-identical across shard counts {1,2,4}, reruns, and
 //     ONFIBER_THREADS, with exact-double timestamps;
@@ -16,6 +15,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -23,7 +23,6 @@
 #include "core/runtime.hpp"
 #include "network/shard_engine.hpp"
 #include "network/topology.hpp"
-#include "network/traffic.hpp"
 #include "network/workload.hpp"
 #include "photonics/engine/pattern_matcher.hpp"
 #include "photonics/kernels.hpp"
@@ -31,65 +30,6 @@
 
 namespace onfiber {
 namespace {
-
-// ------------------------------------------------------------------ stream
-
-net::traffic_config stream_config() {
-  net::traffic_config tc;
-  tc.packet_rate_pps = 5e4;
-  tc.min_payload_bytes = 32;
-  tc.max_payload_bytes = 256;
-  tc.flow_count = 8;
-  return tc;
-}
-
-void expect_same_arrival(const net::arrival& a, const net::arrival& b,
-                         std::size_t i) {
-  EXPECT_EQ(a.time_s, b.time_s) << "arrival " << i;  // exact double
-  EXPECT_EQ(a.pkt.id, b.pkt.id) << "arrival " << i;
-  EXPECT_EQ(a.pkt.flow_hash, b.pkt.flow_hash) << "arrival " << i;
-  EXPECT_EQ(a.pkt.payload, b.pkt.payload) << "arrival " << i;
-}
-
-TEST(TrafficStream, NextMatchesGenerateByteForByte) {
-  const net::ipv4 src{0x0a000001}, dst{0x0a000002};
-  net::traffic_generator batch(stream_config(), src, dst, 42);
-  net::traffic_generator stream(stream_config(), src, dst, 42);
-  const auto arrivals = batch.generate(0.01);
-  ASSERT_FALSE(arrivals.empty());
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    expect_same_arrival(arrivals[i], stream.next(), i);
-  }
-}
-
-TEST(TrafficStream, GenerateCountIsSameProcessAsGenerate) {
-  // The satellite-3 unification pin: generate_count(n) must be the first
-  // n arrivals of the one Poisson process — gap-first, so no arrival at
-  // exactly t = 0 (historically generate_count placed one there).
-  const net::ipv4 src{0x0a000001}, dst{0x0a000002};
-  net::traffic_generator a(stream_config(), src, dst, 7);
-  net::traffic_generator b(stream_config(), src, dst, 7);
-  const auto horizon = a.generate(0.01);
-  ASSERT_GE(horizon.size(), 16u);
-  const auto counted = b.generate_count(16);
-  ASSERT_EQ(counted.size(), 16u);
-  EXPECT_GT(counted.front().time_s, 0.0);
-  for (std::size_t i = 0; i < counted.size(); ++i) {
-    expect_same_arrival(horizon[i], counted[i], i);
-  }
-}
-
-TEST(TrafficStream, StreamIsResumable) {
-  // generate() must leave the clock where the stream stopped, so a
-  // follow-up next() continues the same process past the horizon.
-  const net::ipv4 src{0x0a000001}, dst{0x0a000002};
-  net::traffic_generator g(stream_config(), src, dst, 3);
-  const auto first = g.generate(0.005);
-  const net::arrival resumed = g.next();
-  EXPECT_GE(resumed.time_s, 0.005);
-  EXPECT_GT(resumed.time_s, first.back().time_s);
-  EXPECT_EQ(g.clock_s(), resumed.time_s);
-}
 
 // ---------------------------------------------------------------- workload
 
@@ -155,6 +95,44 @@ TEST(TrafficWorkload, RejectsBadConfig) {
   net::workload_plane::injector_config inj;
   inj.tenant = 3;  // out of range
   EXPECT_THROW(plane.add_injector(inj), std::invalid_argument);
+}
+
+TEST(TrafficWorkload, RejectsNonFiniteConfig) {
+  net::simulator sim;
+  net::wan_fabric fabric(sim, net::make_linear_topology(4));
+  // Every double field of the config, poisoned one at a time. An infinite
+  // burst amplitude is the case that used to hang: the thinning envelope
+  // becomes infinite, so start() rejects candidates forever at one clock.
+  using poison_fn = void (*)(net::workload_config&, double);
+  const poison_fn poisons[] = {
+      [](auto& c, double v) { c.tenants[0].flow_rate_fps = v; },
+      [](auto& c, double v) { c.tenants[0].mice_fraction = v; },
+      [](auto& c, double v) { c.tenants[0].mice.alpha = v; },
+      [](auto& c, double v) { c.tenants[0].mice.lo_bytes = v; },
+      [](auto& c, double v) { c.tenants[0].mice.hi_bytes = v; },
+      [](auto& c, double v) { c.tenants[0].elephants.alpha = v; },
+      [](auto& c, double v) { c.tenants[0].elephants.lo_bytes = v; },
+      [](auto& c, double v) { c.tenants[0].elephants.hi_bytes = v; },
+      [](auto& c, double v) { c.tenants[0].min_packet_gap_s = v; },
+      [](auto& c, double v) { c.tenants[0].max_packet_gap_s = v; },
+      [](auto& c, double v) { c.diurnal.period_s = v; },
+      [](auto& c, double v) { c.diurnal.depth = v; },
+      [](auto& c, double v) { c.diurnal.phase_rad = v; },
+      [](auto& c, double v) { c.bursts.episodes_per_s = v; },
+      [](auto& c, double v) { c.bursts.duration_s = v; },
+      [](auto& c, double v) { c.bursts.amplitude = v; },
+  };
+  net::workload_config base;
+  base.bursts.episodes_per_s = 10.0;  // modulation on: every field is live
+  EXPECT_NO_THROW(net::workload_plane(fabric, base));
+  for (std::size_t i = 0; i < std::size(poisons); ++i) {
+    for (const double bad : {HUGE_VAL, -HUGE_VAL, std::nan("")}) {
+      net::workload_config cfg = base;
+      poisons[i](cfg, bad);
+      EXPECT_THROW(net::workload_plane(fabric, cfg), std::invalid_argument)
+          << "field " << i << " = " << bad;
+    }
+  }
 }
 
 // ----------------------------------------------- plane golden trace sweep
