@@ -67,6 +67,16 @@ for simd_level in scalar native; do
 done
 unset ONFIBER_SIMD
 
+# End-to-end output gate on the compute path: the benchmark's GEMM-heavy
+# inference workload and its batch-1 flap-recovery workload, small and
+# traced. perfbench exits non-zero unless its own accuracy, conservation
+# and traced-vs-untraced exactness checks pass, so a fused kernel that
+# drifts from the device-by-device pipeline fails here end to end.
+for workload in inference_batch flap_recovery; do
+  python3 perfbench/run.py --workload "$workload" --seed 977 --seconds 1 \
+    --scale 0.25 --trace 1 > /dev/null
+done
+
 # Thread-sanitizer pass over the worker-pool surface: the persistent
 # pool, the GEMM kernel's cell-parallel bodies (signed and on-fiber,
 # swept across thread counts by SimdDispatch), the engine paths, and the

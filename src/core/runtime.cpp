@@ -741,16 +741,17 @@ net::hook_decision onfiber_runtime::on_packet(net::node_id at,
   // (packet::pinned_site, stamped by send_tracked) and follows the
   // reconverged plain routes toward it, overriding the (possibly stale)
   // compute tables. Packet state only — no task-table lookup, so the
-  // check is safe on any shard's thread.
-  if (pkt.pinned_site != net::invalid_node && pkt.pinned_site != at &&
-      pkt.pinned_site < fabric_.topo().node_count()) {
-    const auto hop = fabric_.next_hop(
-        at, fabric_.topo().node_at(pkt.pinned_site).address);
-    if (hop && *hop != at) {
+  // check is safe on any shard's thread. The hop comes from the fabric's
+  // flat route cache, as flow-spread's does: the route the data plane
+  // installed toward that node (invalid for at == site, out-of-range or
+  // unreachable sites).
+  if (pkt.pinned_site != net::invalid_node) {
+    const net::node_id hop = fabric_.next_hop_to_node(at, pkt.pinned_site);
+    if (hop != net::invalid_node && hop != at) {
       ++stats_of(at).redirected;
       if (obs::enabled()) obs_redirected_->add();
       return net::hook_decision{net::hook_decision::action_type::redirect,
-                                *hop};
+                                hop};
     }
   }
 

@@ -212,9 +212,9 @@ class wan_fabric final : public packet_event_sink {
   }
 
   /// Current routing-table next hop at `at` toward `dst` (nullopt when
-  /// the table has no route). Lets higher layers — the reliability
-  /// layer's failover steering — follow the same converged routes the
-  /// data plane uses instead of a stale private copy.
+  /// the table has no route): an LPM trie walk, the authoritative answer
+  /// for any address. Steering toward a known node uses the flat cache
+  /// (next_hop_to_node) instead.
   [[nodiscard]] std::optional<node_id> next_hop(node_id at, ipv4 dst) const;
 
   /// Converged next hop from `at` toward destination *node* `dest`, from

@@ -3,19 +3,33 @@
 #include <algorithm>
 #include <cmath>
 
+#include "photonics/sample_ops.hpp"
 #include "photonics/simd.hpp"
 
 namespace onfiber::phot {
 
+namespace {
+double grid_levels(int bits) {
+  return static_cast<double>((1ULL << bits) - 1);
+}
+}  // namespace
+
 double quantize_to_grid(double value, double full_scale, int bits) {
-  const double clipped = std::clamp(value, 0.0, full_scale);
-  const double levels = static_cast<double>((1ULL << bits) - 1);
-  return std::round(clipped / full_scale * levels) / levels * full_scale;
+  return ops::quantize(value, full_scale, grid_levels(bits));
+}
+
+void quantize_to_grid(std::span<const double> in, std::span<double> out,
+                      const converter_config& config) {
+  const std::size_t n = std::min(in.size(), out.size());
+  const double fs = config.full_scale;
+  const double levels = grid_levels(config.bits);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = ops::quantize(in[i], fs, levels);
+  }
 }
 
 double quantization_noise_rms(double full_scale, int bits) {
-  const double lsb = full_scale / static_cast<double>((1ULL << bits) - 1);
-  return lsb / std::sqrt(12.0);
+  return full_scale / grid_levels(bits) / std::sqrt(12.0);
 }
 
 namespace {
@@ -48,18 +62,6 @@ double effective_bits_of(const converter_config& c, double noise_sigma) {
   return std::log2(c.full_scale / (total * std::sqrt(12.0)));
 }
 
-/// Branch-free quantize_to_grid: same arithmetic in the same order, with
-/// the clip written as conditional moves (min/max) instead of the branchy
-/// std::clamp — identical results for all non-NaN inputs. Mirrors
-/// quantize_bf in simd_kernels_impl.hpp (the dispatched batch pass).
-inline double quantize_branch_free(double value, double full_scale,
-                                   double levels) {
-  double c = value;
-  c = c < 0.0 ? 0.0 : c;
-  c = c > full_scale ? full_scale : c;
-  return std::round(c / full_scale * levels) / levels * full_scale;
-}
-
 }  // namespace
 
 // ------------------------------------------------------------------- dac
@@ -67,28 +69,34 @@ inline double quantize_branch_free(double value, double full_scale,
 dac::dac(converter_config config, std::uint64_t seed, energy_ledger* ledger,
          energy_costs costs)
     : config_(config),
-      noise_(counter_rng::key_of(seed, kDacTag)),
-      lsb_(config.full_scale / static_cast<double>((1ULL << config.bits) - 1)),
+      noise_(0),
+      lsb_(config.full_scale / grid_levels(config.bits)),
       noise_sigma_(enob_noise_sigma(config)),
-      ledger_(ledger),
-      costs_(costs) {}
+      costs_(costs) {
+  rekey(seed, ledger);
+}
+
+void dac::rekey(std::uint64_t seed, energy_ledger* ledger) {
+  noise_ = counter_stream(counter_rng::key_of(seed, kDacTag));
+  ledger_ = ledger;
+}
 
 double dac::effective_bits() const {
   return effective_bits_of(config_, noise_sigma_);
 }
 
 double dac::convert_core(double value) {
-  double out = quantize_to_grid(value, config_.full_scale, config_.bits);
+  const double q = quantize_to_grid(value, config_.full_scale, config_.bits);
   if (noise_sigma_ > 0.0) {
-    out += noise_sigma_ * noise_.normal();
-  } else {
-    noise_.skip(1);  // every element consumes one index, noisy or not
+    return ops::dac_noise_clip(q, noise_.normal(), noise_sigma_,
+                               config_.full_scale);
   }
-  return std::clamp(out, 0.0, config_.full_scale);
+  noise_.skip(1);  // every element consumes one index, noisy or not
+  return q;        // already on the grid inside [0, full_scale]
 }
 
 double dac::convert(double value) {
-  if (ledger_ != nullptr) ledger_->charge("dac", costs_.dac_conversion_j);
+  account(1);
   return convert_core(value);
 }
 
@@ -100,30 +108,38 @@ void dac::convert(std::span<const double> in, std::span<double> out,
                   std::vector<double>& noise_scratch) {
   const std::size_t n = std::min(in.size(), out.size());
   if (n == 0) return;
-  const double fs = config_.full_scale;
-  const double levels = static_cast<double>((1ULL << config_.bits) - 1);
-  const double sigma = noise_sigma_;
-  const simd::kernel_table& k = simd::active();
-  if (sigma > 0.0) {
-    // Pass 1: counter-indexed noise fill — element i consumes draw index
-    // cursor + i, exactly as the scalar loop does, generated branch-free
-    // at the active SIMD level.
-    noise_scratch.resize(n);
-    noise_.fill_normal(std::span<double>(noise_scratch.data(), n));
-    // Pass 2: quantize, add noise, clip — conditional moves over
-    // contiguous arrays, dispatched.
-    k.dac_pass(in.data(), noise_scratch.data(), n, fs, levels, sigma,
-               out.data());
+  // Pass 1: the counter-indexed noise fill (or skip); pass 2: quantize,
+  // add noise, clip — conditional moves over contiguous arrays,
+  // dispatched to the active SIMD level.
+  const double* noise = draw_noise(n, noise_scratch);
+  if (noise != nullptr) {
+    simd::active().dac_pass(in.data(), noise, n, config_.full_scale,
+                            grid_levels(config_.bits), noise_sigma_,
+                            out.data());
   } else {
-    noise_.skip(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      // No noise: quantize already lands in [0, full_scale].
-      out[i] = quantize_branch_free(in[i], fs, levels);
-    }
+    quantize_to_grid(in.first(n), out.first(n), config_);
   }
-  if (ledger_ != nullptr) {
-    ledger_->charge("dac", costs_.dac_conversion_j * static_cast<double>(n),
-                    n);
+  account(n);
+}
+
+const double* dac::draw_noise(std::size_t conversions,
+                              std::vector<double>& scratch) {
+  if (noise_sigma_ <= 0.0) {
+    noise_.skip(conversions);
+    return nullptr;
+  }
+  // Element i consumes draw index cursor + i, exactly as the scalar loop
+  // does, generated branch-free at the active SIMD level.
+  if (scratch.size() < conversions) scratch.resize(conversions);
+  noise_.fill_normal(std::span<double>(scratch.data(), conversions));
+  return scratch.data();
+}
+
+void dac::account(std::size_t conversions) {
+  if (ledger_ != nullptr && conversions > 0) {
+    ledger_->charge("dac",
+                    costs_.dac_conversion_j * static_cast<double>(conversions),
+                    conversions);
   }
 }
 
@@ -138,11 +154,17 @@ std::vector<double> dac::convert(std::span<const double> values) {
 adc::adc(converter_config config, std::uint64_t seed, energy_ledger* ledger,
          energy_costs costs)
     : config_(config),
-      noise_(counter_rng::key_of(seed, kAdcTag)),
-      lsb_(config.full_scale / static_cast<double>((1ULL << config.bits) - 1)),
+      noise_(0),
+      lsb_(config.full_scale / grid_levels(config.bits)),
       noise_sigma_(enob_noise_sigma(config)),
-      ledger_(ledger),
-      costs_(costs) {}
+      costs_(costs) {
+  rekey(seed, ledger);
+}
+
+void adc::rekey(std::uint64_t seed, energy_ledger* ledger) {
+  noise_ = counter_stream(counter_rng::key_of(seed, kAdcTag));
+  ledger_ = ledger;
+}
 
 double adc::effective_bits() const {
   return effective_bits_of(config_, noise_sigma_);
@@ -171,20 +193,15 @@ void adc::convert(std::span<const double> in, std::span<double> out,
                   std::vector<double>& noise_scratch) {
   const std::size_t n = std::min(in.size(), out.size());
   if (n == 0) return;
-  const double fs = config_.full_scale;
-  const double levels = static_cast<double>((1ULL << config_.bits) - 1);
-  const double sigma = noise_sigma_;
-  const simd::kernel_table& k = simd::active();
-  if (sigma > 0.0) {
+  if (noise_sigma_ > 0.0) {
     noise_scratch.resize(n);
     noise_.fill_normal(std::span<double>(noise_scratch.data(), n));
-    k.adc_pass(in.data(), noise_scratch.data(), n, fs, levels, sigma,
-               out.data());
+    simd::active().adc_pass(in.data(), noise_scratch.data(), n,
+                            config_.full_scale, grid_levels(config_.bits),
+                            noise_sigma_, out.data());
   } else {
     noise_.skip(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = quantize_branch_free(in[i], fs, levels);
-    }
+    quantize_to_grid(in.first(n), out.first(n), config_);
   }
   if (ledger_ != nullptr) {
     ledger_->charge("adc", costs_.adc_conversion_j * static_cast<double>(n),

@@ -52,7 +52,23 @@ class dac {
   /// Advance the noise stream past `elements` conversions in O(1).
   void skip_draws(std::uint64_t elements) { noise_.skip(elements); }
 
+  /// The two halves of a batch conversion, for fused kernels that apply
+  /// ops::dac_noise_clip to levels quantized ahead of time (the on-fiber
+  /// GEMM cell). draw_noise takes the next `conversions` noise indices
+  /// in one step: it fills their draws into `scratch` and returns them,
+  /// or, when the converter is noiseless, skips them and returns nullptr
+  /// (levels then pass through unchanged). account charges the ledger
+  /// for `conversions` conversions, as convert does.
+  [[nodiscard]] const double* draw_noise(std::size_t conversions,
+                                         std::vector<double>& scratch);
+  void account(std::size_t conversions);
+
+  /// Same state as a converter freshly built on `seed` and `ledger` (the
+  /// config and costs are kept), without recomputing the noise sigma.
+  void rekey(std::uint64_t seed, energy_ledger* ledger);
+
   [[nodiscard]] const converter_config& config() const { return config_; }
+  [[nodiscard]] double noise_sigma() const { return noise_sigma_; }
 
   /// Quantization step size.
   [[nodiscard]] double lsb() const { return lsb_; }
@@ -95,6 +111,9 @@ class adc {
   /// Advance the noise stream past `elements` conversions in O(1).
   void skip_draws(std::uint64_t elements) { noise_.skip(elements); }
 
+  /// Same state as a converter freshly built on `seed` and `ledger`.
+  void rekey(std::uint64_t seed, energy_ledger* ledger);
+
   [[nodiscard]] const converter_config& config() const { return config_; }
   [[nodiscard]] double lsb() const { return lsb_; }
 
@@ -116,6 +135,11 @@ class adc {
 /// Shared quantizer math: clip to [0, full_scale] and snap to an N-bit grid.
 [[nodiscard]] double quantize_to_grid(double value, double full_scale,
                                       int bits);
+
+/// Batch quantize_to_grid on a converter's grid: the noiseless first half
+/// of a conversion (`min(in.size(), out.size())` values written).
+void quantize_to_grid(std::span<const double> in, std::span<double> out,
+                      const converter_config& config);
 
 /// RMS quantization noise of an N-bit converter over [0, full_scale]:
 /// lsb / sqrt(12). Used by tests to bound observed error analytically.

@@ -5,6 +5,7 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "photonics/sample_ops.hpp"
 #include "photonics/simd.hpp"
 
 namespace onfiber::phot {
@@ -20,6 +21,15 @@ void split_rails(std::span<const double> x, std::vector<double>& pos,
 }
 
 namespace {
+
+/// Per-device seed salts: the laser runs on the unit's seed itself, every
+/// other device on seed ^ its salt.
+constexpr std::uint64_t kModASalt = 0x1111;
+constexpr std::uint64_t kModBSalt = 0x2222;
+constexpr std::uint64_t kDetectorSalt = 0x3333;
+constexpr std::uint64_t kDacASalt = 0x4444;
+constexpr std::uint64_t kDacBSalt = 0x5555;
+constexpr std::uint64_t kAdcSalt = 0x6666;
 
 void require_pair(std::size_t a, std::size_t b) {
   if (a != b || a == 0) {
@@ -41,14 +51,27 @@ dot_product_unit::dot_product_unit(dot_product_config config,
         return config;
       }()),
       laser_(config_.laser, seed, ledger, costs),
-      mod_a_(config_.modulator, /*bias_rad=*/0.0, seed ^ 0x1111, ledger, costs),
-      mod_b_(config_.modulator, /*bias_rad=*/0.0, seed ^ 0x2222, ledger, costs),
-      detector_(config_.detector, seed ^ 0x3333, ledger, costs),
-      dac_a_(config_.dac, seed ^ 0x4444, ledger, costs),
-      dac_b_(config_.dac, seed ^ 0x5555, ledger, costs),
-      adc_out_(config_.adc, seed ^ 0x6666, ledger, costs),
+      mod_a_(config_.modulator, /*bias_rad=*/0.0, seed ^ kModASalt, ledger,
+             costs),
+      mod_b_(config_.modulator, /*bias_rad=*/0.0, seed ^ kModBSalt, ledger,
+             costs),
+      detector_(config_.detector, seed ^ kDetectorSalt, ledger, costs),
+      dac_a_(config_.dac, seed ^ kDacASalt, ledger, costs),
+      dac_b_(config_.dac, seed ^ kDacBSalt, ledger, costs),
+      adc_out_(config_.adc, seed ^ kAdcSalt, ledger, costs),
       ledger_(ledger),
       costs_(costs) {}
+
+void dot_product_unit::rekey(std::uint64_t seed, energy_ledger* ledger) {
+  laser_.rekey(seed, ledger);
+  mod_a_.rekey(seed ^ kModASalt, ledger);
+  mod_b_.rekey(seed ^ kModBSalt, ledger);
+  detector_.rekey(seed ^ kDetectorSalt, ledger);
+  dac_a_.rekey(seed ^ kDacASalt, ledger);
+  dac_b_.rekey(seed ^ kDacBSalt, ledger);
+  adc_out_.rekey(seed ^ kAdcSalt, ledger);
+  ledger_ = ledger;
+}
 
 double dot_product_unit::full_scale_power_mw() const {
   // Both modulators at unit transmission leave only their insertion loss.
@@ -237,24 +260,79 @@ dot_result dot_product_unit::dot_with_optical_input(
     throw std::invalid_argument(
         "dot_product_unit: waveform/vector must be non-empty, equal length");
   }
-  if (reference_power_mw <= 0.0) {
-    throw std::invalid_argument(
-        "dot_product_unit: reference power must be positive");
-  }
-  const std::size_t n = optical_a.size();
-  scratch_.dac_b.resize(n);
-  scratch_.trans_b.resize(n);
-  scratch_.product.resize(n);
-
-  dac_b_.convert(b, scratch_.dac_b, scratch_.dac_noise_b);
-  mod_b_.encode_intensity(scratch_.dac_b, scratch_.trans_b);
+  const std::size_t n = b.size();
+  scratch_.power.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    scratch_.product[i] = power_mw(optical_a[i]) * scratch_.trans_b[i];
+    scratch_.power[i] = power_mw(optical_a[i]);
   }
+  scratch_.quantized_b.resize(n);
+  quantize_to_grid(b, scratch_.quantized_b, config_.dac);
+  const optical_pass pass{scratch_.power, scratch_.quantized_b};
+  dot_result r;
+  dot_optical_passes({&pass, 1}, reference_power_mw, {&r, 1});
+  return r;
+}
+
+void dot_product_unit::dot_optical_passes(std::span<const optical_pass> passes,
+                                          double reference_power_mw,
+                                          std::span<dot_result> out) {
+  if (!(reference_power_mw > 0.0) || !std::isfinite(reference_power_mw)) {
+    throw std::invalid_argument(
+        "dot_product_unit: reference power must be positive and finite");
+  }
+  if (out.size() < passes.size()) {
+    throw std::invalid_argument("dot_product_unit: result span too short");
+  }
+  std::size_t symbols = 0;
+  for (const optical_pass& p : passes) {
+    require_pair(p.power_mw.size(), p.b_quantized.size());
+    symbols += p.power_mw.size();
+  }
+
+  // Pass i's b-side conversions take the DAC draw indices right after
+  // pass i-1's, so the whole run is one fill (or one skip when the DAC
+  // is noiseless: `noise` stays nullptr and the levels pass through).
+  const double* noise = dac_b_.draw_noise(symbols, scratch_.dac_noise_b);
+  const double sigma = dac_b_.noise_sigma();
+  const double dac_fs = dac_b_.config().full_scale;
   // Full scale: the incoming reference power through the b modulator.
   const double full_scale_mw =
       reference_power_mw * db_to_ratio(-config_.modulator.insertion_loss_db);
-  return read_out_power(scratch_.product, full_scale_mw, n);
+  const simd::kernel_table& k = simd::active();
+
+  for (std::size_t i = 0; i < passes.size(); ++i) {
+    const optical_pass& p = passes[i];
+    const std::size_t n = p.power_mw.size();
+    dac_b_.account(n);
+    double power_sum_mw = 0.0;
+    if (!mod_b_.has_bias_error()) {
+      mod_b_.account(n);
+      power_sum_mw = k.optical_pass(
+          p.b_quantized.data(), noise, p.power_mw.data(), n, sigma, dac_fs,
+          mod_b_.floor_transmission(), mod_b_.intensity_loss_ratio());
+    } else {
+      // Bias error: the modulator's transcendental transfer, through the
+      // device, on the same drive levels the fused kernel would form.
+      scratch_.dac_b.resize(n);
+      scratch_.trans_b.resize(n);
+      scratch_.product.resize(n);
+      for (std::size_t j = 0; j < n; ++j) {
+        scratch_.dac_b[j] =
+            noise != nullptr
+                ? ops::dac_noise_clip(p.b_quantized[j], noise[j], sigma,
+                                      dac_fs)
+                : p.b_quantized[j];
+      }
+      mod_b_.encode_intensity(scratch_.dac_b, scratch_.trans_b);
+      for (std::size_t j = 0; j < n; ++j) {
+        scratch_.product[j] = p.power_mw[j] * scratch_.trans_b[j];
+      }
+      power_sum_mw = k.blocked_sum(scratch_.product.data(), n);
+    }
+    if (noise != nullptr) noise += n;
+    out[i] = read_out_current(detector_.integrate_sum(power_sum_mw, n),
+                              full_scale_mw, n);
+  }
 }
 
 }  // namespace onfiber::phot

@@ -55,6 +55,15 @@ struct dot_result {
 void split_rails(std::span<const double> x, std::vector<double>& pos,
                  std::vector<double>& neg);
 
+/// One on-fiber pass, as dot_optical_passes takes it: the incoming
+/// symbol powers |a_i|^2 [mW] and the b-side drive levels already snapped
+/// to the DAC grid (quantize_to_grid on config().dac). Equal, non-zero
+/// lengths.
+struct optical_pass {
+  std::span<const double> power_mw;
+  std::span<const double> b_quantized;
+};
+
 /// P1 primitive. One instance owns its devices and noise streams; a single
 /// experiment seed makes every evaluation reproducible.
 class dot_product_unit {
@@ -113,6 +122,20 @@ class dot_product_unit {
       std::span<const field> optical_a, std::span<const double> b,
       double reference_power_mw);
 
+  /// The on-fiber routine: evaluate `passes` back to back, exactly as that
+  /// many dot_with_optical_input calls would (dot_with_optical_input is
+  /// its one-pass case), writing one result per pass into `out`. The
+  /// b-side DAC noise of all passes — contiguous indices on its stream —
+  /// is drawn in one fill; each pass is then one dispatched SIMD kernel
+  /// (DAC noise-add and clip, MZM intensity, product sum; simd.hpp
+  /// optical_pass) followed by the detector and ADC readout. A modulator
+  /// with a bias error takes its transcendental encode_intensity instead
+  /// of the fused kernel. Requires out.size() >= passes.size() and a
+  /// finite, positive `reference_power_mw`.
+  void dot_optical_passes(std::span<const optical_pass> passes,
+                          double reference_power_mw,
+                          std::span<dot_result> out);
+
   /// Encode a [0,1] vector onto the carrier as an optical waveform — the
   /// transmit half of the on-fiber story (used by transponders to launch
   /// compute data).
@@ -144,6 +167,12 @@ class dot_product_unit {
   /// [mW]: power seen when encoding 1.0 through both modulators at b=1.
   [[nodiscard]] double full_scale_power_mw() const;
 
+  /// Re-key every device stream: afterwards the unit is in the state a
+  /// fresh dot_product_unit(config(), seed, ledger, costs) would be in,
+  /// without rebuilding its devices or dropping its scratch. The batched
+  /// GEMM builds one unit per worker task and re-keys it per cell.
+  void rekey(std::uint64_t seed, energy_ledger* ledger);
+
   [[nodiscard]] const dot_product_config& config() const { return config_; }
 
  private:
@@ -155,8 +184,10 @@ class dot_product_unit {
     std::vector<double> rail_b_pos, rail_b_neg;
     std::vector<double> dac_a, dac_b;      ///< post-DAC drive levels
     std::vector<double> dac_noise_a, dac_noise_b;  ///< DAC two-pass draws
+    std::vector<double> quantized_b;       ///< b levels on the DAC grid
     std::vector<double> trans_a, trans_b;  ///< MZM intensity transmissions
-    std::vector<double> power;             ///< laser per-symbol powers [mW]
+    std::vector<double> power;  ///< per-symbol carrier powers [mW]: the
+                                ///< laser's, or the incoming waveform's
     std::vector<double> product;           ///< per-symbol product powers [mW]
   };
 

@@ -1,6 +1,8 @@
 #include "photonics/engine/vector_matrix_engine.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <stdexcept>
 
 #include "obs/scoped_timer.hpp"
@@ -57,16 +59,24 @@ gemm_result vector_matrix_engine::run_cells(const matrix& w,
   std::vector<dot_result> cells(rows * batch);
   std::vector<energy_ledger> cell_ledgers(ledger_ != nullptr ? n_cells : 0);
 
-  parallel_rows(
-      n_cells, kernel_thread_count(threads_override_), [&](std::size_t cell) {
-        const std::size_t r = cell / chunks;
-        const std::size_t s_begin = (cell % chunks) * kSamplesPerCell;
-        const std::size_t s_end = std::min(batch, s_begin + kSamplesPerCell);
-        dot_product_unit unit(
-            config_, counter_rng::key_of(rows_seed_, call, r),
-            ledger_ != nullptr ? &cell_ledgers[cell] : nullptr, costs_);
-        body(unit, r, s_begin, s_end, cells.data() + r * batch);
-      });
+  // One worker task per thread, each a contiguous run of cells on one
+  // unit that is re-keyed per cell: a re-keyed unit is in exactly the
+  // state a fresh one on the cell's key would be, so which task runs a
+  // cell — and how many tasks there are — changes no draw.
+  const std::size_t threads = kernel_thread_count(threads_override_);
+  const std::size_t tasks = std::min(n_cells, threads);
+  parallel_rows(tasks, threads, [&](std::size_t task) {
+    dot_product_unit unit(config_, 0, nullptr, costs_);
+    const std::size_t cell_end = (task + 1) * n_cells / tasks;
+    for (std::size_t cell = task * n_cells / tasks; cell < cell_end; ++cell) {
+      const std::size_t r = cell / chunks;
+      const std::size_t s_begin = (cell % chunks) * kSamplesPerCell;
+      const std::size_t s_end = std::min(batch, s_begin + kSamplesPerCell);
+      unit.rekey(counter_rng::key_of(rows_seed_, call, r),
+                 ledger_ != nullptr ? &cell_ledgers[cell] : nullptr);
+      body(unit, r, s_begin, s_end, cells.data() + r * batch);
+    }
+  });
 
   gemm_result out;
   out.batch = batch;
@@ -132,21 +142,66 @@ gemm_result vector_matrix_engine::gemm_optical(const matrix& w,
     throw std::invalid_argument(
         "vector_matrix_engine: optical gemm shape mismatch");
   }
+  // Checked before run_cells takes a call index, so a rejected call
+  // leaves the engine's next call unchanged.
+  if (!(reference_power_mw > 0.0) || !std::isfinite(reference_power_mw)) {
+    throw std::invalid_argument(
+        "vector_matrix_engine: reference power must be positive and finite");
+  }
+  const std::size_t rows = w.rows;
   const std::size_t cols = w.cols;
-  const double ref = reference_power_mw;
+  const std::size_t batch = pos.size();
+
+  // Once per call: every row's two weight rails on the b-side DAC grid
+  // (rail 2r is row r's x+, 2r+1 its x-), and the |a|^2 of every
+  // sample's two incoming rails (2s and 2s+1). Cells share both
+  // read-only.
+  std::vector<double> w_rails(2 * rows * cols);
+  {
+    std::vector<double> wp, wn;
+    for (std::size_t r = 0; r < rows; ++r) {
+      split_rails(w.row(r), wp, wn);
+      double* out = w_rails.data() + 2 * r * cols;
+      quantize_to_grid(wp, {out, cols}, config_.dac);
+      quantize_to_grid(wn, {out + cols, cols}, config_.dac);
+    }
+  }
+  std::vector<double> a_power(2 * batch * cols);
+  for (std::size_t s = 0; s < batch; ++s) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      a_power[2 * s * cols + c] = power_mw(pos[s][c]);
+      a_power[(2 * s + 1) * cols + c] = power_mw(neg[s][c]);
+    }
+  }
+  const auto rail = [cols](const std::vector<double>& rails, std::size_t i) {
+    return std::span<const double>(rails).subspan(i * cols, cols);
+  };
 
   return run_cells(
-      w, pos.size(),
+      w, batch,
       [&](dot_product_unit& unit, std::size_t r, std::size_t s_begin,
           std::size_t s_end, dot_result* row_cells) {
         unit.skip_optical_samples(s_begin, cols);
-        std::vector<double> wp, wn;
-        split_rails(w.row(r), wp, wn);
+        const auto wp = rail(w_rails, 2 * r);
+        const auto wn = rail(w_rails, 2 * r + 1);
+        // Four passes per sample, in the serial order pp, nn, pn, np, all
+        // evaluated in one routine call.
+        std::array<optical_pass, 4 * kSamplesPerCell> passes;
+        std::array<dot_result, 4 * kSamplesPerCell> res;
+        std::size_t k = 0;
         for (std::size_t s = s_begin; s < s_end; ++s) {
-          const auto pp = unit.dot_with_optical_input(pos[s], wp, ref);
-          const auto nn = unit.dot_with_optical_input(neg[s], wn, ref);
-          const auto pn = unit.dot_with_optical_input(pos[s], wn, ref);
-          const auto np = unit.dot_with_optical_input(neg[s], wp, ref);
+          const auto ap = rail(a_power, 2 * s);
+          const auto an = rail(a_power, 2 * s + 1);
+          passes[k++] = {ap, wp};
+          passes[k++] = {an, wn};
+          passes[k++] = {ap, wn};
+          passes[k++] = {an, wp};
+        }
+        unit.dot_optical_passes(std::span(passes.data(), k),
+                                reference_power_mw, res);
+        for (std::size_t s = s_begin; s < s_end; ++s) {
+          const dot_result* q = &res[4 * (s - s_begin)];
+          const dot_result &pp = q[0], &nn = q[1], &pn = q[2], &np = q[3];
           dot_result& d = row_cells[s];
           d.value = pp.value + nn.value - pn.value - np.value;
           d.latency_s =

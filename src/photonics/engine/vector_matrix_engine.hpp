@@ -84,10 +84,12 @@ class vector_matrix_engine {
   /// gemv_signed. Work is decomposed into rows x fixed 8-sample cells:
   /// the counter-based device streams are seekable in O(1), so a cell
   /// starting mid-row draws the exact noise indices the serial loop
-  /// would. Cells run on the worker pool with private
-  /// ledgers, folded and merged in (row, cell) order, so values, latency,
-  /// symbols and energy totals are bit-identical at any thread count,
-  /// batch size, or cell boundary.
+  /// would. Cells run on the worker pool, one task per thread, each task
+  /// re-keying one unit per cell (a re-keyed unit equals a fresh one on
+  /// the cell's row key), with private per-cell ledgers, folded and
+  /// merged in (row, cell) order, so values, latency, symbols and energy
+  /// totals are bit-identical at any thread count, task split, batch
+  /// size, or cell boundary.
   [[nodiscard]] gemm_result gemm_signed(const matrix& w,
                                         std::span<const double> xs);
 
@@ -95,8 +97,14 @@ class vector_matrix_engine {
   /// `pos[s]` and `neg[s]` (x+ and x-, each w.cols symbols), whose powers
   /// encode the rails relative to `reference_power_mw`. Each row consumes
   /// optical copies of the rails (wavelength/splitter fan-out in
-  /// hardware) through dot_with_optical_input, so no a-side DAC runs.
-  /// Same seed, cell and fold contract as gemm_signed.
+  /// hardware), so no a-side DAC runs. Same seed, cell and fold contract
+  /// as gemm_signed; every draw equals that of four
+  /// dot_with_optical_input passes per (row, sample) in the order pp,
+  /// nn, pn, np. The weight rails are quantized and the sample rails'
+  /// |a|^2 computed once per call; each cell is one
+  /// dot_optical_passes call (one DAC noise fill, one fused kernel per
+  /// pass). A non-positive or non-finite `reference_power_mw` throws
+  /// std::invalid_argument before the call takes a call index.
   [[nodiscard]] gemm_result gemm_optical(const matrix& w,
                                          std::span<const waveform> pos,
                                          std::span<const waveform> neg,
@@ -108,9 +116,9 @@ class vector_matrix_engine {
 
  private:
   /// The cell scheduler. `body(unit, r, s_begin, s_end, row_cells)` evaluates
-  /// samples [s_begin, s_end) of row r on `unit` — a fresh unit on the
-  /// row's seed, which the body first seeks past s_begin samples — into
-  /// row_cells[s_begin .. s_end).
+  /// samples [s_begin, s_end) of row r on `unit` — the task's unit,
+  /// re-keyed to the row's seed, which the body first seeks past s_begin
+  /// samples — into row_cells[s_begin .. s_end).
   template <class CellBody>
   [[nodiscard]] gemm_result run_cells(const matrix& w, std::size_t batch,
                                       const CellBody& body);

@@ -19,11 +19,8 @@ constexpr std::uint64_t kPhaseTag = 0x6c61735048ULL;  // "lasPH"
 // filled, skipped, or vectorized without disturbing the other.
 laser::laser(laser_config config, std::uint64_t seed, energy_ledger* ledger,
              energy_costs costs)
-    : config_(config),
-      rin_stream_(counter_rng::key_of(seed, kRinTag)),
-      phase_stream_(counter_rng::key_of(seed, kPhaseTag)),
-      ledger_(ledger),
-      costs_(costs) {
+    : config_(config), rin_stream_(0), phase_stream_(0), costs_(costs) {
+  rekey(seed, ledger);
   if (config_.enable_phase_noise && config_.symbol_rate_hz > 0.0) {
     phase_step_sigma_ = std::sqrt(2.0 * std::numbers::pi *
                                   config_.linewidth_hz /
@@ -37,6 +34,13 @@ laser::laser(laser_config config, std::uint64_t seed, energy_ledger* ledger,
         rin_sigma_mw(config_.power_mw, config_.rin_db_hz,
                      config_.symbol_rate_hz);
   }
+}
+
+void laser::rekey(std::uint64_t seed, energy_ledger* ledger) {
+  rin_stream_ = counter_stream(counter_rng::key_of(seed, kRinTag));
+  phase_stream_ = counter_stream(counter_rng::key_of(seed, kPhaseTag));
+  phase_ = 0.0;
+  ledger_ = ledger;
 }
 
 void laser::skip_symbols(std::uint64_t symbols) {

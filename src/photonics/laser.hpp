@@ -60,6 +60,11 @@ class laser {
   /// disjoint sample ranges of one row to different workers.
   void skip_symbols(std::uint64_t symbols);
 
+  /// Same state as a laser freshly built on `seed` and `ledger` (the
+  /// config, its derived noise sigmas and the costs are kept): both
+  /// streams restart at draw 0 of the new key and the phase at 0.
+  void rekey(std::uint64_t seed, energy_ledger* ledger);
+
   [[nodiscard]] const laser_config& config() const { return config_; }
 
  private:

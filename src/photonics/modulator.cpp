@@ -5,6 +5,7 @@
 #include <numbers>
 
 #include "photonics/rng.hpp"
+#include "photonics/sample_ops.hpp"
 
 namespace onfiber::phot {
 
@@ -26,15 +27,25 @@ double static_bias_error(const modulator_config& c, std::uint64_t seed) {
 mzm_modulator::mzm_modulator(modulator_config config, double bias_rad,
                              std::uint64_t seed, energy_ledger* ledger,
                              energy_costs costs)
-    : config_(config),
-      bias_rad_(bias_rad),
-      bias_error_rad_(static_bias_error(config, seed)),
-      ledger_(ledger),
-      costs_(costs) {
+    : config_(config), bias_rad_(bias_rad), costs_(costs) {
   // Finite extinction ratio: transmission never falls below this floor.
   floor_transmission_ = db_to_ratio(-config_.extinction_ratio_db);
   field_loss_scale_ = field_loss_scale(config_.insertion_loss_db);
   intensity_loss_ratio_ = db_to_ratio(-config_.insertion_loss_db);
+  rekey(seed, ledger);
+}
+
+void mzm_modulator::rekey(std::uint64_t seed, energy_ledger* ledger) {
+  bias_error_rad_ = static_bias_error(config_, seed);
+  ledger_ = ledger;
+}
+
+void mzm_modulator::account(std::size_t symbols) {
+  if (ledger_ != nullptr && symbols > 0) {
+    ledger_->charge("modulator",
+                    costs_.modulator_drive_j * static_cast<double>(symbols),
+                    symbols);
+  }
 }
 
 field mzm_modulator::apply_phase_arg(field in, double total_phase_rad) const {
@@ -84,29 +95,19 @@ void mzm_modulator::encode(std::span<const double> x, waveform& io) {
   for (std::size_t i = 0; i < n; ++i) {
     io[i] = encode_unit_core(io[i], x[i]);
   }
-  if (ledger_ != nullptr && n > 0) {
-    ledger_->charge("modulator",
-                    costs_.modulator_drive_j * static_cast<double>(n), n);
-  }
+  account(n);
 }
 
 void mzm_modulator::encode_intensity(std::span<const double> x,
                                      std::span<double> t_out) {
   const std::size_t n = std::min(x.size(), t_out.size());
   if (bias_error_rad_ == 0.0) {
-    // Calibrated encode with a perfect bias: cos^2(acos(sqrt(x))) == x, so
-    // the transmission is the clamped input held above the extinction
-    // floor — the hot path needs no transcendentals at all. Written as
-    // conditional moves so rail inputs (exact zeros mixed with positives)
-    // cannot stall on clamp branches.
+    // Calibrated encode with a perfect bias: no transcendentals at all
+    // (ops::mzm_intensity, the element op the fused kernels share).
     const double floor_t = floor_transmission_;
     const double loss = intensity_loss_ratio_;
     for (std::size_t i = 0; i < n; ++i) {
-      double c = x[i];
-      c = c < 0.0 ? 0.0 : c;
-      c = c > 1.0 ? 1.0 : c;
-      c = c < floor_t ? floor_t : c;
-      t_out[i] = c * loss;
+      t_out[i] = ops::mzm_intensity(x[i], floor_t, loss);
     }
   } else {
     for (std::size_t i = 0; i < n; ++i) {
@@ -119,10 +120,7 @@ void mzm_modulator::encode_intensity(std::span<const double> x,
       t_out[i] = t_intensity * intensity_loss_ratio_;
     }
   }
-  if (ledger_ != nullptr && n > 0) {
-    ledger_->charge("modulator",
-                    costs_.modulator_drive_j * static_cast<double>(n), n);
-  }
+  account(n);
 }
 
 // --------------------------------------------------------- phase_modulator

@@ -67,6 +67,26 @@ class mzm_modulator {
   /// Intensity transmission at drive voltage v (no noise), for tests.
   [[nodiscard]] double intensity_transfer(double drive_v) const;
 
+  /// Same state as a modulator freshly built on `seed` and `ledger` (the
+  /// config, bias point and costs are kept): redraws the static bias
+  /// error.
+  void rekey(std::uint64_t seed, energy_ledger* ledger);
+
+  /// Charge the ledger for `symbols` drives, as the batch encodes do.
+  /// Fused kernels that apply ops::mzm_intensity themselves call this.
+  void account(std::size_t symbols);
+
+  /// Whether encode_intensity takes the transcendental path. Without a
+  /// bias error the transfer is ops::mzm_intensity(x, floor_transmission(),
+  /// intensity_loss_ratio()).
+  [[nodiscard]] bool has_bias_error() const { return bias_error_rad_ != 0.0; }
+  [[nodiscard]] double floor_transmission() const {
+    return floor_transmission_;
+  }
+  [[nodiscard]] double intensity_loss_ratio() const {
+    return intensity_loss_ratio_;
+  }
+
   [[nodiscard]] const modulator_config& config() const { return config_; }
   [[nodiscard]] double bias_rad() const { return bias_rad_; }
 

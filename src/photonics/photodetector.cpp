@@ -13,10 +13,14 @@ constexpr std::uint64_t kDetectorTag = 0x706474ULL;  // "pdt"
 
 photodetector::photodetector(photodetector_config config, std::uint64_t seed,
                              energy_ledger* ledger, energy_costs costs)
-    : config_(config),
-      noise_(counter_rng::key_of(seed, kDetectorTag)),
-      ledger_(ledger),
-      costs_(costs) {}
+    : config_(config), noise_(0), costs_(costs) {
+  rekey(seed, ledger);
+}
+
+void photodetector::rekey(std::uint64_t seed, energy_ledger* ledger) {
+  noise_ = counter_stream(counter_rng::key_of(seed, kDetectorTag));
+  ledger_ = ledger;
+}
 
 double photodetector::clip(double current_a) const {
   return std::clamp(current_a, -config_.saturation_current_a,
@@ -106,10 +110,15 @@ double photodetector::integrate(std::span<const field> in) {
 
 double photodetector::integrate_power(std::span<const double> power_mw) {
   if (power_mw.empty()) return 0.0;
-  const double mean_power_mw =
-      simd::active().blocked_sum(power_mw.data(), power_mw.size()) /
-      static_cast<double>(power_mw.size());
-  return integrate_mean(mean_power_mw, power_mw.size());
+  return integrate_sum(
+      simd::active().blocked_sum(power_mw.data(), power_mw.size()),
+      power_mw.size());
+}
+
+double photodetector::integrate_sum(double power_sum_mw,
+                                    std::size_t symbols) {
+  if (symbols == 0) return 0.0;
+  return integrate_mean(power_sum_mw / static_cast<double>(symbols), symbols);
 }
 
 }  // namespace onfiber::phot

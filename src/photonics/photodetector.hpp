@@ -48,9 +48,18 @@ class photodetector {
   /// square-law detector cannot observe the field phase anyway).
   [[nodiscard]] double integrate_power(std::span<const double> power_mw);
 
+  /// The back half of `integrate_power`, for kernels that sum the symbol
+  /// powers themselves (in blocked_sum's order): readout of `symbols`
+  /// symbols whose powers add up to `power_sum_mw`.
+  [[nodiscard]] double integrate_sum(double power_sum_mw,
+                                     std::size_t symbols);
+
   /// Advance the noise stream past `readouts` detect/integrate readouts
   /// in O(1) — each readout consumes exactly one counter draw index.
   void skip_readouts(std::uint64_t readouts) { noise_.skip(readouts); }
+
+  /// Same state as a detector freshly built on `seed` and `ledger`.
+  void rekey(std::uint64_t seed, energy_ledger* ledger);
 
   [[nodiscard]] const photodetector_config& config() const { return config_; }
 

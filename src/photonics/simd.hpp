@@ -1,7 +1,8 @@
 // simd.hpp — runtime ISA dispatch for the sample-plane kernels.
 //
 // The hot per-symbol passes (counter-noise fill, DAC/ADC math, laser RIN
-// power, MZM-cascade product, blocked readout sum) are compiled four
+// power, MZM-cascade product, blocked readout sum, and the fused on-fiber
+// DAC -> MZM -> detector-sum pass) are compiled four
 // times — scalar, SSE4.1, AVX2, AVX-512 — in per-ISA translation units
 // (simd_kernels_*.cpp, each with its own -m flags), and the best level
 // the host supports is selected once at startup via cpuid.
@@ -60,6 +61,17 @@ struct kernel_table {
   /// Readout accumulation: 8-accumulator blocked sum with a fixed fold
   /// order, identical at every vector width (including scalar).
   double (*blocked_sum)(const double* x, std::size_t n);
+
+  /// Fused on-fiber pass (the cell body of the on-fiber GEMM): DAC
+  /// noise-add and clip on already-quantized drive levels (`noise` ==
+  /// nullptr is a zero-sigma DAC: the levels pass through), the MZM's
+  /// calibrated intensity transfer, times the incoming symbol powers
+  /// `power_mw`, summed in blocked_sum's accumulator order. Equals
+  /// dac_pass + mzm_modulator::encode_intensity + an element product +
+  /// blocked_sum, bit for bit.
+  double (*optical_pass)(const double* quantized, const double* noise,
+                         const double* power_mw, std::size_t n, double sigma,
+                         double full_scale, double floor_t, double loss);
 };
 
 /// Best level this host supports (cpuid; cached after the first call).

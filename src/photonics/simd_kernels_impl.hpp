@@ -13,6 +13,7 @@
 #include <cstdint>
 
 #include "photonics/rng_counter_detail.hpp"
+#include "photonics/sample_ops.hpp"
 #include "photonics/simd.hpp"
 
 namespace onfiber::phot::simd {
@@ -53,24 +54,12 @@ void rin_power_kernel(const double* noise, std::size_t n, double base_mw,
   }
 }
 
-/// Branch-free quantize-to-grid (clip as min/max, then snap). Must stay
-/// in this exact arithmetic order: the scalar converter paths compute the
-/// same expression.
-inline double quantize_bf(double value, double full_scale, double levels) {
-  double c = value < 0.0 ? 0.0 : value;
-  c = c > full_scale ? full_scale : c;
-  return std::round(c / full_scale * levels) / levels * full_scale;
-}
-
 void dac_pass_kernel(const double* in, const double* noise, std::size_t n,
                      double full_scale, double levels, double sigma,
                      double* out) {
   for (std::size_t i = 0; i < n; ++i) {
-    const double q = quantize_bf(in[i], full_scale, levels);
-    double o = q + sigma * noise[i];
-    o = o < 0.0 ? 0.0 : o;
-    o = o > full_scale ? full_scale : o;
-    out[i] = o;
+    out[i] = ops::dac_noise_clip(ops::quantize(in[i], full_scale, levels),
+                                 noise[i], sigma, full_scale);
   }
 }
 
@@ -78,7 +67,7 @@ void adc_pass_kernel(const double* in, const double* noise, std::size_t n,
                      double full_scale, double levels, double sigma,
                      double* out) {
   for (std::size_t i = 0; i < n; ++i) {
-    out[i] = quantize_bf(in[i] + sigma * noise[i], full_scale, levels);
+    out[i] = ops::quantize(in[i] + sigma * noise[i], full_scale, levels);
   }
 }
 
@@ -89,21 +78,47 @@ void triple_product_kernel(const double* p, const double* a, const double* b,
   }
 }
 
-double blocked_sum_kernel(const double* x, std::size_t n) {
-  // Eight independent accumulators, folded in a fixed tree: accumulator j
-  // sees x[j], x[8+j], x[16+j], ... in order at every vector width, so
-  // scalar, SSE (2 lanes), AVX2 (4) and AVX-512 (8) all round the same.
+/// The readout accumulation order: eight independent accumulators,
+/// folded in a fixed tree. Accumulator j sees term(j), term(8+j),
+/// term(16+j), ... in order at every vector width, so scalar, SSE (2
+/// lanes), AVX2 (4) and AVX-512 (8) all round the same.
+template <class Term>
+inline double blocked_accumulate(std::size_t n, const Term& term) {
   double acc[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    for (std::size_t j = 0; j < 8; ++j) acc[j] += x[i + j];
+    for (std::size_t j = 0; j < 8; ++j) acc[j] += term(i + j);
   }
-  for (std::size_t j = 0; i < n; ++i, ++j) acc[j] += x[i];
+  for (std::size_t j = 0; i < n; ++i, ++j) acc[j] += term(i);
   const double a01 = acc[0] + acc[1];
   const double a23 = acc[2] + acc[3];
   const double a45 = acc[4] + acc[5];
   const double a67 = acc[6] + acc[7];
   return (a01 + a23) + (a45 + a67);
+}
+
+double blocked_sum_kernel(const double* x, std::size_t n) {
+  return blocked_accumulate(n, [x](std::size_t i) { return x[i]; });
+}
+
+double optical_pass_kernel(const double* quantized, const double* noise,
+                           const double* power_mw, std::size_t n,
+                           double sigma, double full_scale, double floor_t,
+                           double loss) {
+  // Each term is the product power the unfused pipeline (dac_pass, the
+  // MZM's encode_intensity, the product with |a|^2) would store for
+  // blocked_sum: the same element ops in the same order, summed in the
+  // same accumulator order, without the intermediate arrays.
+  if (noise == nullptr) {
+    return blocked_accumulate(n, [&](std::size_t i) {
+      return power_mw[i] * ops::mzm_intensity(quantized[i], floor_t, loss);
+    });
+  }
+  return blocked_accumulate(n, [&](std::size_t i) {
+    const double drive =
+        ops::dac_noise_clip(quantized[i], noise[i], sigma, full_scale);
+    return power_mw[i] * ops::mzm_intensity(drive, floor_t, loss);
+  });
 }
 
 [[maybe_unused]] kernel_table make_kernel_table(level lvl, const char* name) {
@@ -116,6 +131,7 @@ double blocked_sum_kernel(const double* x, std::size_t n) {
   t.adc_pass = &adc_pass_kernel;
   t.triple_product = &triple_product_kernel;
   t.blocked_sum = &blocked_sum_kernel;
+  t.optical_pass = &optical_pass_kernel;
   return t;
 }
 

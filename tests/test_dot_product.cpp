@@ -109,6 +109,44 @@ TEST(DotProduct, OpticalInputValidation) {
                std::invalid_argument);
 }
 
+// A re-keyed unit is a fresh unit on the new seed and ledger: every
+// device stream, the modulators' static bias errors, the laser's phase
+// walk and the ledger pointers are replaced, whatever the unit ran before.
+TEST(DotProduct, RekeyMatchesFreshUnit) {
+  dot_product_config cfg;
+  cfg.modulator.bias_error_sigma_rad = 0.05;
+  rng g(11);
+  const auto a = random_unit_vector(24, g);
+  const auto b = random_unit_vector(24, g);
+  const auto run = [&](dot_product_unit& u) {
+    std::vector<double> out;
+    for (const field& e : u.encode_to_optical(a)) {
+      out.push_back(e.real());
+      out.push_back(e.imag());
+    }
+    const waveform wave = u.encode_to_optical(b);
+    out.push_back(u.dot_with_optical_input(wave, a, 2.5).value);
+    out.push_back(u.dot_unit_range(a, b).value);
+    out.push_back(u.dot_unit_range_scalar(a, b).value);
+    out.push_back(u.dot_signed(a, b).value);
+    return out;
+  };
+
+  energy_ledger before, after, fresh_ledger;
+  dot_product_unit reused(cfg, 1, &before);
+  (void)run(reused);
+  const double charged_before = before.total_joules();
+  reused.rekey(2, &after);
+  dot_product_unit fresh(cfg, 2, &fresh_ledger);
+  EXPECT_EQ(run(reused), run(fresh));
+  EXPECT_EQ(before.total_joules(), charged_before);  // old ledger detached
+  EXPECT_EQ(after.entries().size(), fresh_ledger.entries().size());
+  for (const auto& [category, e] : fresh_ledger.entries()) {
+    EXPECT_EQ(after.joules(category), e.joules) << category;
+    EXPECT_EQ(after.ops(category), e.ops) << category;
+  }
+}
+
 TEST(DotProduct, ChargesPhotonicMacEnergy) {
   energy_ledger ledger;
   dot_product_unit u({}, 10, &ledger);
