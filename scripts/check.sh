@@ -67,12 +67,15 @@ for simd_level in scalar native; do
 done
 unset ONFIBER_SIMD
 
-# End-to-end output gate on the compute path: the benchmark's GEMM-heavy
-# inference workload and its batch-1 flap-recovery workload, small and
-# traced. perfbench exits non-zero unless its own accuracy, conservation
-# and traced-vs-untraced exactness checks pass, so a fused kernel that
-# drifts from the device-by-device pipeline fails here end to end.
-for workload in inference_batch flap_recovery; do
+# End-to-end output gate: every benchmark workload, small and traced —
+# the GEMM-heavy inference workload, the batch-1 flap-recovery workload,
+# and the two forwarding workloads (wan_sharded also checks that its
+# record equals the 1-shard record). perfbench exits non-zero unless its
+# own accuracy, conservation and traced-vs-untraced exactness checks
+# pass, so a fused kernel that drifts from the device-by-device pipeline,
+# or a forwarding change that loses or misroutes packets, fails here end
+# to end.
+for workload in inference_batch flap_recovery wan_mixed wan_sharded; do
   python3 perfbench/run.py --workload "$workload" --seed 977 --seconds 1 \
     --scale 0.25 --trace 1 > /dev/null
 done

@@ -6,10 +6,21 @@
 #include <cstdio>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "obs/trace.hpp"
 
 namespace onfiber::net {
+
+namespace {
+
+/// drop_stats field per drop reason, indexed by drop_reason - 1 (as are
+/// the fabric.drop.<reason> counters in obs_drops_).
+constexpr std::array<std::uint64_t drop_stats::*, 5> kDropField{
+    &drop_stats::ttl_expired, &drop_stats::link_down, &drop_stats::no_route,
+    &drop_stats::hook_drop, &drop_stats::bad_redirect};
+
+}  // namespace
 
 wan_fabric::wan_fabric(simulator& sim, topology topo)
     : wan_fabric(&sim, nullptr, std::move(topo)) {}
@@ -22,27 +33,19 @@ wan_fabric::wan_fabric(simulator* sim, shard_engine* engine, topology topo)
       engine_(engine),
       topo_(std::move(topo)),
       spf_(topo_),
-      tables_(topo_.node_count()),
       hooks_(topo_.node_count()),
       link_free_at_(topo_.links().size(), std::array<double, 2>{0.0, 0.0}),
       link_tx_seq_(topo_.links().size(),
                    std::array<std::uint64_t, 2>{0, 0}),
-      link_bytes_dir_(topo_.links().size(), std::array<double, 2>{0.0, 0.0}),
-      link_up_(topo_.links().size(), true) {
+      link_bytes_dir_(topo_.links().size(),
+                      std::array<double, 2>{0.0, 0.0}) {
   const std::size_t n = topo_.node_count();
   // Lookup caches (addr index, pair->link map) are built now, on the
-  // construction thread: shard threads hit node_for_address and
-  // link_between, and a lazy first build over there would race.
+  // construction thread: shard threads hit node_for_address (resolve_dest)
+  // and link_between, and a lazy first build over there would race.
   topo_.prime_lookup_caches();
-  // Destination resolution trie: attached prefixes are assigned by
-  // topology::add_node as distinct same-length prefixes, so containment
-  // identifies the owning node uniquely and matches LPM.
-  for (const node& nd : topo_.nodes()) {
-    dest_of_.insert(nd.attached_prefix, nd.id);
-  }
   flat_routes_.assign(n * n, flat_route{});
-  // Egress matrix: first link per (from, to) pair in incident order,
-  // mirroring egress_link()'s scan on the seed path.
+  // Egress matrix: first link per (from, to) pair in incident order.
   egress_matrix_.assign(n * n, no_link);
   for (node_id from = 0; from < n; ++from) {
     for (const std::size_t li : topo_.incident_links(from)) {
@@ -116,22 +119,18 @@ wan_fabric::wan_fabric(simulator* sim, shard_engine* engine, topology topo)
   obs_reconvergences_ = &reg.get_counter("fabric.reconvergences");
   obs_routes_touched_ = &reg.get_counter("routing.routes_touched");
   obs_reconverge_ns_ = &reg.get_histogram("routing.reconverge_ns");
-  obs_drops_[0] = &reg.get_counter("fabric.drop.ttl_expired");
-  obs_drops_[1] = &reg.get_counter("fabric.drop.link_down");
-  obs_drops_[2] = &reg.get_counter("fabric.drop.no_route");
-  obs_drops_[3] = &reg.get_counter("fabric.drop.hook_drop");
-  obs_drops_[4] = &reg.get_counter("fabric.drop.bad_redirect");
+  for (std::size_t i = 0; i < obs_drops_.size(); ++i) {
+    obs_drops_[i] = &reg.get_counter(
+        std::string("fabric.drop.") +
+        obs::to_string(static_cast<obs::drop_reason>(i + 1)));
+  }
   tracer_ = &obs::tracer::global();
 }
 
 const drop_stats& wan_fabric::drops() const {
   drops_cache_ = drop_stats{};
   for (const auto& s : shard_states_) {
-    drops_cache_.ttl_expired += s->drops.ttl_expired;
-    drops_cache_.link_down += s->drops.link_down;
-    drops_cache_.no_route += s->drops.no_route;
-    drops_cache_.hook_drop += s->drops.hook_drop;
-    drops_cache_.bad_redirect += s->drops.bad_redirect;
+    for (const auto field : kDropField) drops_cache_.*field += s->drops.*field;
   }
   return drops_cache_;
 }
@@ -171,28 +170,18 @@ void wan_fabric::install_shortest_path_routes() {
                         : std::chrono::steady_clock::time_point{};
   const auto n = static_cast<node_id>(topo_.node_count());
   std::uint64_t touched = 0;
-  // Write the route for one (src, dst) pair from the engine's tree.
-  // `touched` counts actual next-hop changes to the flat cache — on the
-  // patch path that is (up to no-net-change flap pairs) the dirty set.
+  // Write the route for one (src, dst) pair from the engine's tree; an
+  // unreachable destination (possibly due to failures) retracts any
+  // stale route. `touched` counts actual next-hop changes — on the patch
+  // path that is (up to no-net-change flap pairs) the dirty set.
   const auto patch = [&](node_id src, node_id dst) {
     if (src == dst) return;
     flat_route& flat = flat_routes_[src * n + dst];
     const node_id nh = spf_.first_hop(src, dst);
-    if (nh == invalid_node) {
-      // Unreachable (possibly due to failures): retract any stale route.
-      tables_[src].erase(topo_.node_at(dst).attached_prefix);
-      if (flat.next != invalid_node) {
-        flat = flat_route{};
-        ++touched;
-      }
-      return;
-    }
-    tables_[src].insert(topo_.node_at(dst).attached_prefix, route_entry{nh});
-    if (flat.next != nh) {
-      flat.next = nh;
-      flat.link = egress_matrix_[src * n + nh];
-      ++touched;
-    }
+    if (flat.next == nh) return;
+    flat = nh == invalid_node ? flat_route{}
+                              : flat_route{nh, egress_matrix_[src * n + nh]};
+    ++touched;
   };
   if (!routes_installed_) {
     // First convergence: build every source tree (n single-source
@@ -220,7 +209,6 @@ void wan_fabric::install_shortest_path_routes() {
 }
 
 void wan_fabric::fail_link(std::size_t link_index) {
-  link_up_.at(link_index) = false;
   // Delta-repair the SPF trees now (control plane; shards parked). The
   // datapath keeps forwarding on the stale installed routes until the
   // next install_shortest_path_routes() — the reconvergence window —
@@ -229,7 +217,6 @@ void wan_fabric::fail_link(std::size_t link_index) {
 }
 
 void wan_fabric::restore_link(std::size_t link_index) {
-  link_up_.at(link_index) = true;
   spf_.set_link_state(link_index, true);
 }
 
@@ -244,7 +231,7 @@ void wan_fabric::schedule_flaps(std::span<const link_flap> flaps,
   // Draw all jitter up front, in flap order, so the schedule is fixed at
   // scheduling time regardless of event interleaving. Everything here is
   // control plane: in sharded mode these run as coordinator global
-  // events with every shard parked, so link_up_ and the route tables are
+  // events with every shard parked, so link state and the route table are
   // never written while a datapath thread is in flight.
   phot::rng jitter{jitter_seed};
   const auto reconverge_after = [&](double event_s) {
@@ -257,7 +244,7 @@ void wan_fabric::schedule_flaps(std::span<const link_flap> flaps,
     });
   };
   for (const link_flap& f : flaps) {
-    if (f.link_index >= link_up_.size()) {
+    if (f.link_index >= topo_.links().size()) {
       throw std::out_of_range("wan_fabric: bad flap link index");
     }
     if (f.restore_at_s < f.fail_at_s) {
@@ -270,13 +257,6 @@ void wan_fabric::schedule_flaps(std::span<const link_flap> flaps,
                      [this, li = f.link_index] { restore_link(li); });
     reconverge_after(f.restore_at_s);
   }
-}
-
-std::optional<node_id> wan_fabric::next_hop(node_id at, ipv4 dst) const {
-  if (at >= tables_.size()) return std::nullopt;
-  const route_entry* entry = tables_[at].lookup_ptr(dst);
-  if (entry == nullptr) return std::nullopt;
-  return entry->next;
 }
 
 void wan_fabric::set_hook(node_id at, hook_fn hook) {
@@ -387,6 +367,18 @@ void wan_fabric::apply_bit_errors(shard_state& ss, packet& pkt,
   }
 }
 
+void wan_fabric::drop(shard_state& ss, packet&& pkt, node_id at, double now,
+                      obs::drop_reason reason, std::uint32_t aux) {
+  const std::size_t i = static_cast<std::size_t>(reason) - 1;
+  ++(ss.drops.*kDropField[i]);
+  if (reason == obs::drop_reason::ttl_expired) warn_ttl_blackhole(ss);
+  if (obs::enabled()) {
+    obs_drops_[i]->add();
+    trace_hop(pkt, at, now, obs::hop_action::drop, reason, aux);
+  }
+  ss.pool.recycle(std::move(pkt));
+}
+
 void wan_fabric::warn_ttl_blackhole(shard_state& ss) {
   if (ss.ttl_warned || ss.drops.ttl_expired <= ss.delivered) return;
   ss.ttl_warned = true;
@@ -400,43 +392,25 @@ void wan_fabric::warn_ttl_blackhole(shard_state& ss) {
                static_cast<unsigned>(recommended_ttl_));
 }
 
-std::size_t wan_fabric::egress_link(node_id from, node_id next) const {
-  const std::size_t n = topo_.node_count();
-  if (from < n && next < n) {
-    const std::uint32_t li = egress_matrix_[from * n + next];
-    if (li != no_link) return li;
-  }
-  throw std::invalid_argument("wan_fabric: no link toward next hop");
-}
-
 node_id wan_fabric::resolve_dest(packet& pkt) const {
   const std::uint32_t hint = pkt.dest_hint;
   if (hint < topo_.node_count() &&
       topo_.node_at(hint).attached_prefix.contains(pkt.dst)) {
     return hint;
   }
-  const node_id* d = dest_of_.lookup_ptr(pkt.dst);
-  pkt.dest_hint = d != nullptr ? *d : invalid_node;
+  pkt.dest_hint = topo_.node_for_address(pkt.dst).value_or(invalid_node);
   return pkt.dest_hint;
-}
-
-void wan_fabric::forward_to(packet pkt, node_id from, node_id next) {
-  forward_on(std::move(pkt), from, next, egress_link(from, next));
 }
 
 void wan_fabric::forward_on(packet pkt, node_id from, node_id next,
                             std::size_t li) {
   shard_state& ss = state_of(from);
   simulator& sim = sim_for(from);
-  if (!link_up_[li]) {
+  const double now = sim.now();
+  if (!spf_.links_up()[li]) {
     // Black-holed until routing reconverges.
-    ++ss.drops.link_down;
-    if (obs::enabled()) {
-      obs_drops_[1]->add();
-      trace_hop(pkt, from, sim.now(), obs::hop_action::drop,
-                obs::drop_reason::link_down, static_cast<std::uint32_t>(li));
-    }
-    ss.pool.recycle(std::move(pkt));
+    drop(ss, std::move(pkt), from, now, obs::drop_reason::link_down,
+         static_cast<std::uint32_t>(li));
     return;
   }
   const link& l = topo_.links()[li];
@@ -444,7 +418,6 @@ void wan_fabric::forward_on(packet pkt, node_id from, node_id next,
 
   const double bits = static_cast<double>(pkt.wire_bytes()) * 8.0;
   const double serialize_s = bits / l.capacity_bps;
-  const double now = sim.now();
 
   // FIFO queueing: wait until the transmitter frees up.
   double start = link_free_at_[li][static_cast<std::size_t>(dir)];
@@ -476,6 +449,10 @@ void wan_fabric::forward_on(packet pkt, node_id from, node_id next,
 void wan_fabric::arrive(packet pkt, node_id at) {
   shard_state& ss = state_of(at);
   const double now = sim_for(at).now();
+  const std::size_t n = topo_.node_count();
+  // A hook redirect or the route table picks the (next hop, link) pair;
+  // one TTL check and forward_on follow either way.
+  flat_route route;
   // Node-level intercept (compute transponder attach point).
   if (hooks_[at]) {
     const hook_decision d = hooks_[at](at, pkt, now);
@@ -484,109 +461,58 @@ void wan_fabric::arrive(packet pkt, node_id at) {
         ss.pool.recycle(std::move(pkt));
         return;
       case hook_decision::action_type::drop:
-        ++ss.drops.hook_drop;
-        if (obs::enabled()) {
-          obs_drops_[3]->add();
-          trace_hop(pkt, at, now, obs::hop_action::drop,
-                    obs::drop_reason::hook_drop, 0);
-        }
-        ss.pool.recycle(std::move(pkt));
+        drop(ss, std::move(pkt), at, now, obs::drop_reason::hook_drop, 0);
         return;
-      case hook_decision::action_type::redirect:
-        if (d.redirect_to == invalid_node ||
-            d.redirect_to >= topo_.node_count()) {
-          ++ss.drops.bad_redirect;
-          if (obs::enabled()) {
-            obs_drops_[4]->add();
-            trace_hop(pkt, at, now, obs::hop_action::drop,
-                      obs::drop_reason::bad_redirect, 0);
-          }
-          ss.pool.recycle(std::move(pkt));
+      case hook_decision::action_type::redirect: {
+        // Only a neighbor of `at` is a valid redirect target.
+        const std::uint32_t li = d.redirect_to < n
+                                     ? egress_matrix_[at * n + d.redirect_to]
+                                     : no_link;
+        if (li == no_link) {
+          drop(ss, std::move(pkt), at, now, obs::drop_reason::bad_redirect,
+               0);
           return;
         }
-        if (pkt.ttl == 0) {
-          ++ss.drops.ttl_expired;
-          warn_ttl_blackhole(ss);
-          if (obs::enabled()) {
-            obs_drops_[0]->add();
-            trace_hop(pkt, at, now, obs::hop_action::drop,
-                      obs::drop_reason::ttl_expired, 0);
-          }
-          ss.pool.recycle(std::move(pkt));
-          return;
-        }
-        --pkt.ttl;
-        if (obs::enabled()) {
-          trace_hop(pkt, at, now, obs::hop_action::redirect,
-                    obs::drop_reason::none, d.redirect_to);
-        }
-        forward_to(std::move(pkt), at, d.redirect_to);
-        return;
+        route = {d.redirect_to, li};
+        break;
+      }
       case hook_decision::action_type::continue_forwarding:
         break;
     }
   }
 
-  // Local delivery?
-  if (topo_.node_at(at).attached_prefix.contains(pkt.dst)) {
-    ++ss.delivered;
-    if (obs::enabled()) {
-      obs_delivered_->add();
-      trace_hop(pkt, at, now, obs::hop_action::deliver,
-                obs::drop_reason::none, 0);
-    }
-    if (on_deliver_) on_deliver_(pkt, at, now);
-    ss.pool.recycle(std::move(pkt));
-    return;
-  }
-
-  // Forwarding: flat post-convergence cache first, LPM trie as the
-  // authoritative fallback (stale hints, retracted routes).
-  const std::size_t n = topo_.node_count();
-  const node_id dest = resolve_dest(pkt);
-  if (dest != invalid_node) {
-    const flat_route flat = flat_routes_[at * n + dest];
-    if (flat.next != invalid_node) {
-      if (pkt.ttl == 0) {
-        ++ss.drops.ttl_expired;
-        warn_ttl_blackhole(ss);
-        if (obs::enabled()) {
-          obs_drops_[0]->add();
-          trace_hop(pkt, at, now, obs::hop_action::drop,
-                    obs::drop_reason::ttl_expired, 0);
-        }
-        ss.pool.recycle(std::move(pkt));
-        return;
+  const bool redirected = route.next != invalid_node;
+  if (!redirected) {
+    // Local delivery?
+    if (topo_.node_at(at).attached_prefix.contains(pkt.dst)) {
+      ++ss.delivered;
+      if (obs::enabled()) {
+        obs_delivered_->add();
+        trace_hop(pkt, at, now, obs::hop_action::deliver,
+                  obs::drop_reason::none, 0);
       }
-      --pkt.ttl;
-      forward_on(std::move(pkt), at, flat.next, flat.link);
+      if (on_deliver_) on_deliver_(pkt, at, now);
+      ss.pool.recycle(std::move(pkt));
+      return;
+    }
+    const node_id dest = resolve_dest(pkt);
+    if (dest != invalid_node) route = flat_routes_[at * n + dest];
+    if (route.next == invalid_node) {
+      drop(ss, std::move(pkt), at, now, obs::drop_reason::no_route, 0);
       return;
     }
   }
-  const route_entry* entry = tables_[at].lookup_ptr(pkt.dst);
-  if (entry == nullptr) {
-    ++ss.drops.no_route;
-    if (obs::enabled()) {
-      obs_drops_[2]->add();
-      trace_hop(pkt, at, now, obs::hop_action::drop,
-                obs::drop_reason::no_route, 0);
-    }
-    ss.pool.recycle(std::move(pkt));
-    return;
-  }
+
   if (pkt.ttl == 0) {
-    ++ss.drops.ttl_expired;
-    warn_ttl_blackhole(ss);
-    if (obs::enabled()) {
-      obs_drops_[0]->add();
-      trace_hop(pkt, at, now, obs::hop_action::drop,
-                obs::drop_reason::ttl_expired, 0);
-    }
-    ss.pool.recycle(std::move(pkt));
+    drop(ss, std::move(pkt), at, now, obs::drop_reason::ttl_expired, 0);
     return;
   }
   --pkt.ttl;
-  forward_to(std::move(pkt), at, entry->next);
+  if (redirected && obs::enabled()) {
+    trace_hop(pkt, at, now, obs::hop_action::redirect, obs::drop_reason::none,
+              route.next);
+  }
+  forward_on(std::move(pkt), at, route.next, route.link);
 }
 
 }  // namespace onfiber::net

@@ -1,7 +1,11 @@
 // fabric.hpp — the packet-forwarding WAN: topology + routers + links,
 // driven by the discrete-event simulator.
 //
-// Each node runs a longest-prefix-match router. Links model serialization
+// Each node forwards on a flat destination-node -> (next hop, egress
+// link) table, patched from the incremental-SPF engine on every route
+// install; a packet's destination node is resolved once through
+// topology::node_for_address and cached in its dest_hint. Links model
+// serialization
 // (bytes/capacity) plus fiber propagation delay, with FIFO queueing per
 // link direction. A per-node intercept hook lets higher layers (the
 // on-fiber runtime in src/core) examine and mutate packets in flight and
@@ -10,23 +14,19 @@
 // router" placement.
 //
 // The hot loop is allocation-free at steady state: hops ride typed
-// packet events (event_sim.hpp), payload buffers recycle through a
-// payload_pool, and converged routes are served from flat per-node
-// next-hop caches (the LPM trie stays the source of truth and the slow
-// path for anything the caches cannot prove fresh).
+// packet events (event_sim.hpp) and payload buffers recycle through a
+// payload_pool.
 #pragma once
 
 #include <array>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "network/event_sim.hpp"
 #include "network/shard_engine.hpp"
 #include "network/packet.hpp"
-#include "network/routing.hpp"
 #include "network/spf.hpp"
 #include "network/topology.hpp"
 #include "obs/metrics.hpp"
@@ -38,8 +38,8 @@ namespace onfiber::net {
 /// What a node-level hook wants done with a packet.
 struct hook_decision {
   enum class action_type {
-    continue_forwarding,  ///< normal LPM forwarding
-    redirect,             ///< forward toward `redirect_to` instead
+    continue_forwarding,  ///< normal forwarding
+    redirect,             ///< forward to neighbor `redirect_to` instead
     consume,              ///< packet is absorbed at this node
     drop,                 ///< discard (counts as a drop)
   };
@@ -51,9 +51,9 @@ struct hook_decision {
 struct drop_stats {
   std::uint64_t ttl_expired = 0;   ///< TTL hit zero before delivery
   std::uint64_t link_down = 0;     ///< black-holed into a failed link
-  std::uint64_t no_route = 0;      ///< no LPM entry for the destination
+  std::uint64_t no_route = 0;      ///< no route to the destination
   std::uint64_t hook_drop = 0;     ///< a node hook said drop
-  std::uint64_t bad_redirect = 0;  ///< hook redirect to an invalid node
+  std::uint64_t bad_redirect = 0;  ///< hook redirect to a non-neighbor
 
   [[nodiscard]] std::uint64_t total() const {
     return ttl_expired + link_down + no_route + hook_drop + bad_redirect;
@@ -93,7 +93,7 @@ class wan_fabric final : public packet_event_sink {
   /// Take a link out of service: packets queued onto it are lost, routes
   /// keep pointing at it until reinstalled (the reconvergence window —
   /// the SPF engine delta-updates its trees eagerly here, but the
-  /// datapath tables/caches stay stale until the install call).
+  /// datapath's route table stays stale until the install call).
   void fail_link(std::size_t link_index);
   void restore_link(std::size_t link_index);
 
@@ -124,10 +124,12 @@ class wan_fabric final : public packet_event_sink {
   }
 
   [[nodiscard]] bool link_is_up(std::size_t link_index) const {
-    return link_up_.at(link_index);
+    return spf_.links_up().at(link_index);
   }
   /// Current link states (for higher layers computing their own paths).
-  [[nodiscard]] const std::vector<bool>& links_up() const { return link_up_; }
+  [[nodiscard]] const std::vector<bool>& links_up() const {
+    return spf_.links_up();
+  }
 
   /// Install or replace the intercept hook at one node.
   void set_hook(node_id at, hook_fn hook);
@@ -168,7 +170,7 @@ class wan_fabric final : public packet_event_sink {
 
   [[nodiscard]] const topology& topo() const { return topo_; }
   /// The incremental-SPF engine tracking this fabric's link state. Its
-  /// trees always reflect the *current* link_up_ (eagerly delta-updated
+  /// trees always reflect the *current* link state (eagerly delta-updated
   /// by fail_link/restore_link), not the possibly stale installed
   /// routes. Higher layers (controller failover planning, compute-route
   /// install) query paths/delays here instead of re-running Dijkstra.
@@ -211,17 +213,10 @@ class wan_fabric final : public packet_event_sink {
     return state_of(at).pool;
   }
 
-  /// Current routing-table next hop at `at` toward `dst` (nullopt when
-  /// the table has no route): an LPM trie walk, the authoritative answer
-  /// for any address. Steering toward a known node uses the flat cache
-  /// (next_hop_to_node) instead.
-  [[nodiscard]] std::optional<node_id> next_hop(node_id at, ipv4 dst) const;
-
-  /// Converged next hop from `at` toward destination *node* `dest`, from
-  /// the flat post-convergence route cache (invalid_node when at == dest,
-  /// unreachable, or out of range). Reflects exactly the routes the data
-  /// plane forwards on — including staleness inside a flap's
-  /// reconvergence window.
+  /// Installed next hop from `at` toward destination *node* `dest`
+  /// (invalid_node when at == dest, unreachable, or out of range). This
+  /// is the route table the data plane forwards on — including its
+  /// staleness inside a flap's reconvergence window.
   [[nodiscard]] node_id next_hop_to_node(node_id at, node_id dest) const {
     const std::size_t n = topo_.node_count();
     if (at >= n || dest >= n || at == dest) return invalid_node;
@@ -257,15 +252,11 @@ class wan_fabric final : public packet_event_sink {
   /// Common constructor (exactly one of sim / engine is non-null).
   wan_fabric(simulator* sim, shard_engine* engine, topology topo);
 
-  struct route_entry {
-    node_id next = invalid_node;
-  };
-
   static constexpr std::uint32_t no_link = ~std::uint32_t{0};
 
-  /// Flat post-convergence route: next hop + precomputed egress link for
-  /// one (node, destination-node) pair. `next == invalid_node` means the
-  /// trie must decide (unreachable, or a route the cache can't mirror).
+  /// Installed route: next hop + precomputed egress link for one (node,
+  /// destination-node) pair. `next == invalid_node` means no route
+  /// (unreachable, or before the first install).
   struct flat_route {
     node_id next = invalid_node;
     std::uint32_t link = no_link;
@@ -277,15 +268,11 @@ class wan_fabric final : public packet_event_sink {
   void inject(packet pkt, node_id ingress);
 
   void arrive(packet pkt, node_id at);
-  void forward_to(packet pkt, node_id from, node_id next);
   void forward_on(packet pkt, node_id from, node_id next, std::size_t li);
-
-  /// Egress link index from `from` toward adjacent `next`.
-  [[nodiscard]] std::size_t egress_link(node_id from, node_id next) const;
 
   /// Destination node for `pkt.dst`, maintaining pkt.dest_hint: the hint
   /// is revalidated against the node's attached prefix and re-resolved
-  /// through the destination trie when stale. invalid_node when no
+  /// through topology::node_for_address when stale. invalid_node when no
   /// attached prefix covers dst.
   [[nodiscard]] node_id resolve_dest(packet& pkt) const;
 
@@ -304,18 +291,17 @@ class wan_fabric final : public packet_event_sink {
   simulator& sim_;
   shard_engine* engine_ = nullptr;
   topology topo_;
-  spf_engine spf_;  ///< per-source SSSP trees over topo_, delta-repaired
-  std::vector<routing_table<route_entry>> tables_;  // one per node
-  std::vector<hook_fn> hooks_;                      // one per node (may be null)
+  /// Per-source SSSP trees over topo_, delta-repaired; also the one
+  /// record of link state.
+  spf_engine spf_;
+  std::vector<hook_fn> hooks_;  // one per node (may be null)
   deliver_fn on_deliver_;
 
-  /// attached_prefix -> owning node, for dest_hint resolution (built
-  /// once; topology is immutable).
-  routing_table<node_id> dest_of_;
-  /// flat_routes_[at * n + dest_node]; rebuilt on every reconvergence.
+  /// flat_routes_[at * n + dest_node]: the route table, patched on every
+  /// install.
   std::vector<flat_route> flat_routes_;
   /// egress_matrix_[from * n + to]: first link index joining the pair in
-  /// incident order, or no_link (mirrors egress_link()'s scan).
+  /// incident order, or no_link when the two are not adjacent.
   std::vector<std::uint32_t> egress_matrix_;
 
   /// Mutable datapath state owned by one shard's event loop: counters,
@@ -343,6 +329,12 @@ class wan_fabric final : public packet_event_sink {
   void apply_bit_errors(shard_state& ss, packet& pkt, std::size_t li,
                         int dir);
 
+  /// Count, trace and recycle one dropped packet: the single drop path
+  /// for every reason. `at`/`now` place the trace record; `aux` is its
+  /// action-specific word (the link index for link_down).
+  void drop(shard_state& ss, packet&& pkt, node_id at, double now,
+            obs::drop_reason reason, std::uint32_t aux);
+
   /// Latch-once stderr warning when a shard's ttl-expired drops exceed
   /// its deliveries — the signature of a default TTL too small for the
   /// topology (use recommended_ttl()).
@@ -366,7 +358,6 @@ class wan_fabric final : public packet_event_sink {
 
   double bit_error_rate_ = 0.0;
   std::uint64_t ber_seed_ = 0;
-  std::vector<bool> link_up_;
   std::uint8_t recommended_ttl_ = 64;
 
   std::uint64_t reconvergences_ = 0;
@@ -382,7 +373,7 @@ class wan_fabric final : public packet_event_sink {
   obs::counter* obs_reconvergences_ = nullptr;
   obs::counter* obs_routes_touched_ = nullptr;
   obs::histogram* obs_reconverge_ns_ = nullptr;
-  std::array<obs::counter*, 5> obs_drops_{};  // indexed like drop_reason-1
+  std::array<obs::counter*, 5> obs_drops_{};  // indexed by drop_reason - 1
   /// The global tracer, resolved once: tracer::global()'s init-guard
   /// check is off the per-hop path.
   obs::tracer* tracer_ = nullptr;

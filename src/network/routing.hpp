@@ -5,8 +5,10 @@
 //   * `linear_routing_ref` — O(n) scan reference used by property tests
 //     to check the trie against first principles.
 //
-// The table maps prefixes to an opaque next-hop value (node id + egress
-// link in the simulator; anything in tests).
+// The table maps prefixes to an opaque value: the runtime's (destination,
+// primitive) compute tables and the IP-routing app store next hops here.
+// Plain fabric forwarding does not use it (wan_fabric forwards from a flat
+// destination-node table).
 #pragma once
 
 #include <cstdint>

@@ -5,8 +5,9 @@
 // in place when a link fails or is restored, Ramalingam–Reps style: a
 // delta pass touches only the destinations whose shortest path actually
 // changed instead of re-running Dijkstra for every pair. The fabric
-// patches its flat next-hop caches and prefix tables from the engine's
-// dirty set; the controller and RWA layers answer delay/path queries
+// patches its flat next-hop table (its only route state) from the
+// engine's dirty set and reads link state from links_up(); the
+// controller and RWA layers answer delay/path queries
 // from the shared trees instead of calling topology::shortest_path per
 // query.
 //
@@ -25,7 +26,7 @@
 //
 // Thread-safety: not synchronized. Build/delta operations mutate the
 // trees and must run on the control plane (coordinator global events
-// with shards parked, exactly like wan_fabric's route tables). Query
+// with shards parked, exactly like wan_fabric's route table). Query
 // methods on an already-built tree are pure reads and safe from shard
 // threads under that same discipline; ensure the tree exists first
 // (ensure_all_trees) when sharing an engine across threads.

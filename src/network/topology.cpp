@@ -9,6 +9,11 @@
 namespace onfiber::net {
 
 node_id topology::add_node(std::string name) {
+  // The attached prefix carries the id in two octets; a 65,537th node
+  // would alias node 0's prefix and silently take its traffic.
+  if (nodes_.size() > 0xffff) {
+    throw std::length_error("topology: more than 65536 nodes");
+  }
   const auto id = static_cast<node_id>(nodes_.size());
   node n;
   n.id = id;

@@ -46,7 +46,9 @@ struct link {
 /// Undirected multigraph of nodes and fiber links.
 class topology {
  public:
-  /// Add a node; address defaults to 10.<id>.0.1, prefix 10.<id>.0.0/16.
+  /// Add a node; with id = 256 * hi + lo its address is 10.hi.lo.1 and
+  /// its attached prefix 10.hi.lo.0/24. Throws std::length_error past
+  /// 65,536 nodes, where the prefixes would repeat.
   node_id add_node(std::string name);
 
   /// Add an undirected link between existing nodes.

@@ -2,7 +2,11 @@
 // simulator, topology, fabric, traffic, stats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "network/address.hpp"
@@ -13,6 +17,8 @@
 #include "network/topology.hpp"
 #include "network/traffic.hpp"
 #include "network/workload.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "photonics/rng.hpp"
 
 namespace onfiber::net {
@@ -331,6 +337,18 @@ TEST(Topology, NodeForAddress) {
   EXPECT_FALSE(t.node_for_address(ipv4(192, 0, 2, 1)).has_value());
 }
 
+TEST(Topology, RejectsNodeBeyondPrefixSpace) {
+  // A node's id fills its attached prefix's two middle octets: 65,536
+  // nodes fit, and a 65,537th would alias node 0's prefix.
+  topology t;
+  for (std::size_t i = 0; i < 65536; ++i) t.add_node("n");
+  EXPECT_EQ(t.node_at(65535).attached_prefix,
+            prefix(ipv4(10, 255, 255, 0), 24));
+  EXPECT_EQ(t.node_for_address(ipv4(10, 255, 255, 7)).value(), 65535u);
+  EXPECT_THROW(t.add_node("overflow"), std::length_error);
+  EXPECT_EQ(t.node_count(), 65536u);
+}
+
 TEST(Topology, RejectsBadLinks) {
   topology t;
   const node_id a = t.add_node("a");
@@ -479,9 +497,17 @@ TEST(Fabric, LinkBytesAccounted) {
   EXPECT_DOUBLE_EQ(fabric.link_bytes()[1], 100.0);
 }
 
-TEST(Fabric, DropStatsPerReason) {
-  simulator sim;
-  wan_fabric fabric(sim, make_linear_topology(5, 10.0));
+/// The reasons exercise_drop_reasons drops its packets for, in order.
+constexpr std::array<obs::drop_reason, 7> kDropSequence{
+    obs::drop_reason::ttl_expired,  obs::drop_reason::no_route,
+    obs::drop_reason::hook_drop,    obs::drop_reason::bad_redirect,
+    obs::drop_reason::bad_redirect, obs::drop_reason::link_down,
+    obs::drop_reason::no_route};
+
+/// Drops one packet per entry of kDropSequence on a 5-node chain
+/// (0-1-2-3-4, traffic 0 -> 4), checking the per-reason breakdown as it
+/// goes.
+void exercise_drop_reasons(simulator& sim, wan_fabric& fabric) {
   fabric.install_shortest_path_routes();
   const auto send_to_end = [&](std::uint8_t ttl) {
     packet pkt;
@@ -513,14 +539,85 @@ TEST(Fabric, DropStatsPerReason) {
   send_to_end(64);
   EXPECT_EQ(fabric.drops().bad_redirect, 1u);
 
+  // A real node that is not a neighbor of node 1 is no redirect target
+  // either: the packet is dropped, not thrown out of the event loop.
+  fabric.set_hook(1, [&](node_id, packet&, double) {
+    return hook_decision{hook_decision::action_type::redirect, 3};
+  });
+  send_to_end(64);
+  EXPECT_EQ(fabric.drops().bad_redirect, 2u);
+
   fabric.set_hook(1, wan_fabric::hook_fn{});  // clear the hook
   fabric.fail_link(1);  // routes still point at it: black hole
   send_to_end(64);
   EXPECT_EQ(fabric.drops().link_down, 1u);
 
-  EXPECT_EQ(fabric.drops().total(), 5u);
-  EXPECT_EQ(fabric.dropped(), 5u);  // aggregate stays the sum
+  // Reconverged around the cut, the chain is partitioned: node 0 has no
+  // route to node 4 and drops at ingress.
+  fabric.install_shortest_path_routes();
+  EXPECT_EQ(fabric.next_hop_to_node(0, 4), invalid_node);
+  send_to_end(64);
+  EXPECT_EQ(fabric.drops().no_route, 2u);
+
+  EXPECT_EQ(fabric.drops().total(), kDropSequence.size());
+  EXPECT_EQ(fabric.dropped(), kDropSequence.size());  // aggregate = sum
   EXPECT_EQ(fabric.delivered(), 0u);
+}
+
+TEST(Fabric, DropStatsPerReason) {
+  simulator sim;
+  wan_fabric fabric(sim, make_linear_topology(5, 10.0));
+  exercise_drop_reasons(sim, fabric);
+}
+
+TEST(Fabric, DropStatsPerReasonTraced) {
+  // The same drops with tracing on: every drop site shares one path, so
+  // each fabric.drop.<reason> counter and the reasons on the drop
+  // hop_records must agree with drop_stats field by field.
+  struct obs_restore {
+    bool prev = obs::enabled();
+    ~obs_restore() {
+      obs::set_enabled(prev);
+      obs::registry::global().reset_values();
+      obs::tracer::global().clear();
+    }
+  } restore;
+  obs::set_enabled(true);
+  obs::registry::global().reset_values();
+  obs::tracer::global().clear();
+
+  simulator sim;
+  wan_fabric fabric(sim, make_linear_topology(5, 10.0));
+  exercise_drop_reasons(sim, fabric);
+
+  std::vector<obs::drop_reason> traced;
+  for (const obs::hop_record& r : obs::tracer::global().snapshot()) {
+    if (r.action != obs::hop_action::drop) continue;
+    traced.push_back(r.reason);
+    if (r.reason == obs::drop_reason::link_down) {
+      EXPECT_EQ(r.aux, 1u);  // the failed link's index
+    }
+  }
+  EXPECT_EQ(traced, std::vector<obs::drop_reason>(kDropSequence.begin(),
+                                                  kDropSequence.end()));
+
+  const drop_stats& d = fabric.drops();
+  const std::array<std::pair<obs::drop_reason, std::uint64_t>, 5> fields{{
+      {obs::drop_reason::ttl_expired, d.ttl_expired},
+      {obs::drop_reason::link_down, d.link_down},
+      {obs::drop_reason::no_route, d.no_route},
+      {obs::drop_reason::hook_drop, d.hook_drop},
+      {obs::drop_reason::bad_redirect, d.bad_redirect},
+  }};
+  obs::registry& reg = obs::registry::global();
+  for (const auto& [reason, count] : fields) {
+    const std::string name = std::string("fabric.drop.") + obs::to_string(reason);
+    EXPECT_EQ(reg.get_counter(name).value(), count) << name;
+    EXPECT_EQ(static_cast<std::uint64_t>(
+                  std::count(traced.begin(), traced.end(), reason)),
+              count)
+        << name;
+  }
 }
 
 TEST(Fabric, HighBerFlipCountClampedToPayloadBits) {
@@ -743,10 +840,10 @@ TEST(Fabric, FlatCacheFollowsReconvergence) {
   topo.add_link(n1, n2, 10.0);
   wan_fabric fabric(sim, topo);
   fabric.install_shortest_path_routes();
-  EXPECT_EQ(fabric.next_hop(n0, topo.node_at(n2).address).value(), n2);
+  EXPECT_EQ(fabric.next_hop_to_node(n0, n2), n2);
   fabric.fail_link(0);
   fabric.install_shortest_path_routes();
-  EXPECT_EQ(fabric.next_hop(n0, topo.node_at(n2).address).value(), n1);
+  EXPECT_EQ(fabric.next_hop_to_node(n0, n2), n1);
   packet pkt;
   pkt.dst = fabric.topo().node_at(n2).address;
   fabric.send(pkt, n0);

@@ -238,14 +238,11 @@ void expect_fabrics_equal(net::wan_fabric& incr, const net::topology& topo,
       // Flat post-convergence caches.
       const net::node_id got = incr.next_hop_to_node(at, dst);
       const net::node_id want = fresh.next_hop_to_node(at, dst);
-      // LPM trie routes.
-      const auto trie_got = incr.next_hop(at, topo.node_at(dst).address);
-      const auto trie_want = fresh.next_hop(at, topo.node_at(dst).address);
       // From-scratch seed Dijkstra under the same link state.
       const auto seed = topo.shortest_path(at, dst, &up);
       const net::node_id seed_hop =
           seed.size() >= 2 ? seed[1] : net::invalid_node;
-      if (got != want || trie_got != trie_want || got != seed_hop) {
+      if (got != want || got != seed_hop) {
         ADD_FAILURE() << where << ": route mismatch at=" << at
                       << " dst=" << dst << " patched=" << got
                       << " fresh=" << want << " seed=" << seed_hop;
